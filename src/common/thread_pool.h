@@ -13,7 +13,7 @@
 // chunks, and the call blocks until all of them returned. Which pool
 // thread runs which chunk is unspecified — callers that need ordered
 // output merge per-chunk buffers in chunk order (see
-// PlanarIndex::VerifyCandidatesParallel, SortEntries).
+// PlanarIndex::VerifyIds, SortEntries).
 //
 // The submitting thread participates in its own ParallelFor (it claims
 // chunk tickets alongside the pool workers), so a fan-out always makes

@@ -38,7 +38,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -109,26 +108,6 @@ struct BlockArgs {
         res32(max_queries * kBlockRows) {}
 };
 
-// The serial path's degenerate-query answer (RunInequality's constant
-// predicate branch), with the set-level index attribution.
-InequalityResult DegenerateResult(const NormalizedQuery& q, size_t n,
-                                  int index_used) {
-  InequalityResult result;
-  result.stats.num_points = n;
-  result.stats.index_used = index_used;
-  const bool all_match =
-      q.cmp == Comparison::kLessEqual ? (0.0 <= q.b) : (0.0 >= q.b);
-  if (all_match) {
-    result.ids.resize(n);
-    std::iota(result.ids.begin(), result.ids.end(), 0u);
-    result.stats.accepted_directly = n;
-  } else {
-    result.stats.rejected_directly = n;
-  }
-  result.stats.result_size = result.ids.size();
-  return result;
-}
-
 }  // namespace
 
 std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
@@ -160,35 +139,31 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
   const size_t dim = phi_->dim();
   const kernels::DotOps& ops = kernels::Ops();
 
-  // ---- Plan: route every query to an index group or the scan group,
-  // replicating the serial Inequality() decision sequence exactly.
+  // ---- Plan: route every query to an index group or the scan group
+  // through the serial Inequality() route.
   std::vector<NormalizedQuery> norms;
   norms.reserve(m);
+  std::vector<PlanarIndex::QueryPlan> query_plans(m);
   std::vector<std::vector<IntervalQuery>> groups(indices_.size());
   std::vector<size_t> scan_slots;
   for (size_t qi = 0; qi < m; ++qi) {
     norms.push_back(NormalizedQuery::From(queries[qi]));
-    const NormalizedQuery& norm = norms.back();
-    const int best = SelectBestIndex(norm);
-    if (best < 0) {
+    const Routing route =
+        Route(norms.back(), RouteKind::kInequality, CountTolerance());
+    if (route.scan) {
       scan_slots.push_back(qi);
       continue;
     }
-    const PlanarIndex& index = indices_[static_cast<size_t>(best)];
-    const Result<PlanarIndex::Intervals> iv = index.ComputeIntervals(norm);
-    PLANAR_CHECK(iv.ok());  // CanServe was verified by the selector
-    if (options_.scan_fallback_fraction < 1.0 &&
-        static_cast<double>(iv->larger_begin - iv->smaller_end) >
-            options_.scan_fallback_fraction * static_cast<double>(n)) {
-      scan_slots.push_back(qi);
+    const PlanarIndex::QueryPlan& plan = query_plans[qi] = route.plan;
+    if (plan.degenerate) {
+      // A constant answer: nothing to verify, let alone share.
+      results[qi] = indices_[static_cast<size_t>(route.index)].ServeInequality(
+          norms.back(), plan, deadline_of(qi));
+      results[qi]->stats.index_used = route.index;
       continue;
     }
-    if (norm.IsDegenerate()) {
-      results[qi] = DegenerateResult(norm, n, best);
-      continue;
-    }
-    groups[static_cast<size_t>(best)].push_back(
-        {qi, iv->smaller_end, iv->larger_begin});
+    groups[static_cast<size_t>(route.index)].push_back(
+        {qi, plan.smaller_end, plan.larger_begin});
   }
 
   // ---- Mixed-precision plans, one per slot the shared block walks below
@@ -230,7 +205,8 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
       const size_t slot = group[0].slot;
       const size_t ii = group[0].end - group[0].begin;
       Result<InequalityResult> r =
-          index.Inequality(norms[slot], deadline_of(slot));
+          index.ServeInequality(norms[slot], query_plans[slot],
+                                deadline_of(slot));
       if (r.ok()) r->stats.index_used = static_cast<int>(gi);
       results[slot] = std::move(r);
       stats.rows_demanded += ii;
@@ -242,20 +218,15 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
     // Accept regions first (same emission order as serial), reserving the
     // worst case so the block appends below never reallocate.
     for (const IntervalQuery& iq : group) {
+      const PlanarIndex::QueryPlan& plan = query_plans[iq.slot];
       InequalityResult r;
-      r.stats.num_points = n;
-      const bool le = norms[iq.slot].cmp == Comparison::kLessEqual;
-      const size_t accept_begin = le ? 0 : iq.end;
-      const size_t accept_end = le ? iq.begin : n;
-      const size_t ii = iq.end - iq.begin;
-      r.ids.reserve((accept_end - accept_begin) + ii);
-      index.CollectRange(accept_begin, accept_end, &r.ids);
-      r.stats.accepted_directly = accept_end - accept_begin;
-      r.stats.rejected_directly = le ? n - iq.end : iq.begin;
-      r.stats.verified = ii;
+      r.stats = plan.Stats();
+      r.stats.verified = plan.ii();
       r.stats.index_used = static_cast<int>(gi);
+      r.ids.reserve(plan.accepted() + plan.ii());
+      index.CollectRange(plan.accept_begin, plan.accept_end, &r.ids);
       results[iq.slot] = std::move(r);
-      stats.rows_demanded += ii;
+      stats.rows_demanded += plan.ii();
     }
 
     // Coalesce: sort the non-empty intervals by begin rank and merge
@@ -311,13 +282,13 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
           active.push_back(next++);
         }
         // Retire finished intervals and poll deadlines — one poll per
-        // (query, block), the serial VerifyBlocks cadence. Memory-order
-        // audit: unlike the sharded verifier (planar_index.cc), the
+        // (query, block), the serial block driver's cadence. Memory-order
+        // audit: unlike the chunked verifier (planar_index.cc), the
         // batch walk is single-threaded, so the poll is a plain call on
         // an immutable Deadline — no atomic flag, and nothing to order.
         // If this loop is ever sharded, cancellation must adopt the
         // relaxed-atomic advisory-flag + authoritative-post-join-load
-        // pattern documented in VerifyCandidatesParallel.
+        // pattern documented in PlanarIndex::VerifyIds.
         size_t na = 0;
         for (const size_t idx : active) {
           const IntervalQuery& iq = intervals[idx];

@@ -156,15 +156,23 @@ Status PlanarIndexSet::BuildIndicesParallel(
 }
 
 int PlanarIndexSet::SelectBestIndex(const NormalizedQuery& q) const {
+  return Select(q, nullptr);
+}
+
+int PlanarIndexSet::Select(const NormalizedQuery& q,
+                           PlanarIndex::QueryPlan* plan) const {
   // Non-finite parameters defeat every selection heuristic and the index
   // pruning math itself; reporting "no index" routes such queries to the
   // exact sequential-scan fallback.
   if (!q.IsFinite()) return -1;
+  const bool by_interval =
+      options_.selector == IndexSetOptions::Selector::kIntervalCount;
   int best = -1;
   double best_score = 0.0;
   for (size_t i = 0; i < indices_.size(); ++i) {
     const PlanarIndex& index = indices_[i];
     if (!index.CanServe(q)) continue;
+    PlanarIndex::QueryPlan candidate;
     double score = 0.0;
     switch (options_.selector) {
       case IndexSetOptions::Selector::kStretch:
@@ -173,35 +181,51 @@ int PlanarIndexSet::SelectBestIndex(const NormalizedQuery& q) const {
       case IndexSetOptions::Selector::kAngle:
         score = -index.CosAngle(q);  // larger cosine is better
         break;
-      case IndexSetOptions::Selector::kIntervalCount: {
-        const Result<PlanarIndex::Intervals> iv = index.ComputeIntervals(q);
-        PLANAR_DCHECK(iv.ok());
-        score = static_cast<double>(iv->larger_begin - iv->smaller_end);
+      case IndexSetOptions::Selector::kIntervalCount:
+        candidate = index.Plan(q).value();  // finite and servable
+        score = static_cast<double>(candidate.ii());
         break;
-      }
     }
     if (best == -1 || score < best_score) {
       best = static_cast<int>(i);
       best_score = score;
+      if (plan != nullptr) *plan = candidate;
     }
   }
+  if (best >= 0 && !by_interval && plan != nullptr) {
+    *plan = indices_[static_cast<size_t>(best)].Plan(q).value();
+  }
   return best;
+}
+
+PlanarIndexSet::Routing PlanarIndexSet::Route(
+    const NormalizedQuery& norm, RouteKind kind,
+    const CountTolerance& tolerance) const {
+  Routing route;
+  route.index = Select(norm, &route.plan);
+  if (route.index < 0) return route;
+  const double n = static_cast<double>(phi_->size());
+  const double intermediate = static_cast<double>(route.plan.ii());
+  // A COUNT whose bounds already meet the tolerance is answered in
+  // O(log n) no matter how wide the intermediate interval is, so only a
+  // count that would refine is diverted to the flat scan.
+  const bool refines =
+      kind != RouteKind::kCount || intermediate > tolerance.Allowed(n);
+  route.scan = kind != RouteKind::kTopK && refines &&
+               intermediate > options_.scan_fallback_fraction * n;
+  return route;
 }
 
 PlanarIndexSet::Explanation PlanarIndexSet::Explain(
     const ScalarProductQuery& q) const {
   Explanation e;
-  const NormalizedQuery norm = NormalizedQuery::From(q);
-  const int best = SelectBestIndex(norm);
-  if (best < 0) return e;
-  e.index_used = best;
-  e.index_explanation = indices_[static_cast<size_t>(best)].Explain(norm);
-  if (options_.scan_fallback_fraction < 1.0 &&
-      static_cast<double>(e.index_explanation.intermediate()) >
-          options_.scan_fallback_fraction *
-              static_cast<double>(phi_->size())) {
-    e.scan_fallback = true;
-  }
+  const Routing route = Route(NormalizedQuery::From(q),
+                              RouteKind::kInequality, CountTolerance());
+  if (route.index < 0) return e;
+  e.index_used = route.index;
+  e.scan_fallback = route.scan;
+  e.index_explanation =
+      indices_[static_cast<size_t>(route.index)].ExplainPlan(route.plan);
   return e;
 }
 
@@ -220,20 +244,16 @@ std::string PlanarIndexSet::Explanation::ToString() const {
 
 PlanarIndexSet::SelectivityBounds PlanarIndexSet::EstimateSelectivity(
     const ScalarProductQuery& q) const {
-  const NormalizedQuery norm = NormalizedQuery::From(q);
-  const int best = SelectBestIndex(norm);
   SelectivityBounds bounds;
-  if (best < 0) return bounds;
-  const PlanarIndex::Explanation e =
-      indices_[static_cast<size_t>(best)].Explain(norm);
+  PlanarIndex::QueryPlan plan;
   const double n = static_cast<double>(phi_->size());
-  if (n == 0.0) return bounds;
-  if (e.degenerate) return bounds;
-  const bool le = norm.cmp == Comparison::kLessEqual;
-  const double accepted = static_cast<double>(
-      le ? e.smaller_end : e.num_points - e.larger_begin);
+  if (Select(NormalizedQuery::From(q), &plan) < 0 || n == 0.0 ||
+      plan.degenerate) {
+    return bounds;
+  }
+  const double accepted = static_cast<double>(plan.accepted());
   bounds.lo = accepted / n;
-  bounds.hi = (accepted + static_cast<double>(e.intermediate())) / n;
+  bounds.hi = (accepted + static_cast<double>(plan.ii())) / n;
   return bounds;
 }
 
@@ -246,23 +266,12 @@ InequalityResult PlanarIndexSet::Inequality(const ScalarProductQuery& q) const {
 Result<InequalityResult> PlanarIndexSet::Inequality(
     const ScalarProductQuery& q, const Deadline& deadline) const {
   const NormalizedQuery norm = NormalizedQuery::From(q);
-  const int best = SelectBestIndex(norm);
-  if (best < 0) {
-    return ScanInequality(*phi_, q, deadline);
-  }
-  const PlanarIndex& index = indices_[static_cast<size_t>(best)];
-  if (options_.scan_fallback_fraction < 1.0) {
-    const Result<PlanarIndex::Intervals> iv = index.ComputeIntervals(norm);
-    PLANAR_CHECK(iv.ok());  // CanServe was verified by the selector
-    const double intermediate =
-        static_cast<double>(iv->larger_begin - iv->smaller_end);
-    if (intermediate > options_.scan_fallback_fraction *
-                           static_cast<double>(phi_->size())) {
-      return ScanInequality(*phi_, q, deadline);
-    }
-  }
-  Result<InequalityResult> result = index.Inequality(norm, deadline);
-  if (result.ok()) result->stats.index_used = best;
+  const Routing route = Route(norm, RouteKind::kInequality, CountTolerance());
+  if (route.scan) return ScanInequality(*phi_, q, deadline);
+  Result<InequalityResult> result =
+      indices_[static_cast<size_t>(route.index)].ServeInequality(
+          norm, route.plan, deadline);
+  if (result.ok()) result->stats.index_used = route.index;
   return result;
 }
 
@@ -270,28 +279,12 @@ Result<CountResult> PlanarIndexSet::CountInequality(
     const ScalarProductQuery& q, const CountTolerance& tolerance,
     const Deadline& deadline) const {
   const NormalizedQuery norm = NormalizedQuery::From(q);
-  const int best = SelectBestIndex(norm);
-  if (best < 0) {
-    return ScanCountInequality(*phi_, q, deadline);
-  }
-  const PlanarIndex& index = indices_[static_cast<size_t>(best)];
-  if (options_.scan_fallback_fraction < 1.0) {
-    const Result<PlanarIndex::Intervals> iv = index.ComputeIntervals(norm);
-    PLANAR_CHECK(iv.ok());  // CanServe was verified by the selector
-    const double intermediate =
-        static_cast<double>(iv->larger_begin - iv->smaller_end);
-    // Divert to the flat scan only when the index would refine anyway
-    // (gap over tolerance): a bounds-only answer is O(log n) and beats
-    // the scan no matter how wide the intermediate interval is.
-    if (intermediate >
-            tolerance.Allowed(static_cast<double>(phi_->size())) &&
-        intermediate > options_.scan_fallback_fraction *
-                           static_cast<double>(phi_->size())) {
-      return ScanCountInequality(*phi_, q, deadline);
-    }
-  }
-  Result<CountResult> result = index.CountInequality(norm, tolerance, deadline);
-  if (result.ok()) result->stats.index_used = best;
+  const Routing route = Route(norm, RouteKind::kCount, tolerance);
+  if (route.scan) return ScanCountInequality(*phi_, q, deadline);
+  Result<CountResult> result =
+      indices_[static_cast<size_t>(route.index)].ServeCount(
+          norm, route.plan, tolerance, deadline);
+  if (result.ok()) result->stats.index_used = route.index;
   return result;
 }
 
@@ -299,26 +292,15 @@ Result<AggregateResult> PlanarIndexSet::AggregateInequality(
     const ScalarProductQuery& q, const CountTolerance& tolerance,
     const Deadline& deadline) const {
   const NormalizedQuery norm = NormalizedQuery::From(q);
-  const int best = SelectBestIndex(norm);
-  if (best < 0) {
+  const Routing route = Route(norm, RouteKind::kAggregate, tolerance);
+  if (route.scan) {
     return ScanAggregateInequality(*phi_, options_.index_options.payload_column,
                                    q, deadline);
   }
-  const PlanarIndex& index = indices_[static_cast<size_t>(best)];
-  if (options_.scan_fallback_fraction < 1.0) {
-    const Result<PlanarIndex::Intervals> iv = index.ComputeIntervals(norm);
-    PLANAR_CHECK(iv.ok());  // CanServe was verified by the selector
-    const double intermediate =
-        static_cast<double>(iv->larger_begin - iv->smaller_end);
-    if (intermediate > options_.scan_fallback_fraction *
-                           static_cast<double>(phi_->size())) {
-      return ScanAggregateInequality(
-          *phi_, options_.index_options.payload_column, q, deadline);
-    }
-  }
   Result<AggregateResult> result =
-      index.AggregateInequality(norm, tolerance, deadline);
-  if (result.ok()) result->count.stats.index_used = best;
+      indices_[static_cast<size_t>(route.index)].ServeAggregate(
+          norm, route.plan, tolerance, deadline);
+  if (result.ok()) result->count.stats.index_used = route.index;
   return result;
 }
 
@@ -333,13 +315,12 @@ Result<TopKResult> PlanarIndexSet::TopK(const ScalarProductQuery& q, size_t k,
   if (!norm.IsFinite()) {
     return Status::InvalidArgument("query parameters must be finite");
   }
-  const int best = SelectBestIndex(norm);
-  if (best < 0) {
-    return ScanTopK(*phi_, q, k, deadline);
-  }
+  const Routing route = Route(norm, RouteKind::kTopK, CountTolerance());
+  if (route.scan) return ScanTopK(*phi_, q, k, deadline);
   Result<TopKResult> result =
-      indices_[static_cast<size_t>(best)].TopK(norm, k, deadline);
-  if (result.ok()) result->stats.index_used = best;
+      indices_[static_cast<size_t>(route.index)].ServeTopK(norm, route.plan,
+                                                           k, deadline);
+  if (result.ok()) result->stats.index_used = route.index;
   return result;
 }
 

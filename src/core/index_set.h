@@ -268,6 +268,27 @@ class PlanarIndexSet {
     MaybeEnableMixedPrecision();
   }
 
+  // The query kinds Route distinguishes: top-k never falls back to the
+  // scan, and a COUNT falls back only when it would refine.
+  enum class RouteKind { kInequality, kCount, kAggregate, kTopK };
+
+  // Where one query runs: the serving index and the plan its selection
+  // computed, or the sequential scan (no compatible index, or the hybrid
+  // scan guard fired with index >= 0).
+  struct Routing {
+    int index = -1;
+    bool scan = true;
+    PlanarIndex::QueryPlan plan;
+  };
+
+  // SelectBestIndex that also hands back the winner's plan (reused from
+  // the kIntervalCount scoring pass, otherwise planned once).
+  int Select(const NormalizedQuery& q, PlanarIndex::QueryPlan* plan) const;
+  // Selection plus the scan-fallback decision, shared by every query kind
+  // and by BatchInequality. `tolerance` matters only for kCount.
+  Routing Route(const NormalizedQuery& norm, RouteKind kind,
+                const CountTolerance& tolerance) const;
+
   // Applies the PLANAR_FORCE_F32 override to options_ and materializes the
   // matrix's f32 mirror when mixed precision is on (option set and not
   // disabled via PLANAR_DISABLE_F32). Called from the constructor so every

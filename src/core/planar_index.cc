@@ -38,71 +38,6 @@ double ResidualNormalized(const NormalizedQuery& q, const double* phi_row) {
   return kernels::Ops().dot_one(q.a.data(), phi_row, q.a.size()) - q.b;
 }
 
-// The batched verification inner loop shared by the serial path and every
-// parallel shard: per block of kernels::kBlockRows candidates, one
-// cancellation check, one batched residual computation, and one
-// branch-light compress-store append into *out (which must have capacity
-// for `count` more entries — resize within reserved capacity never
-// reallocates, so shards cannot invalidate each other's storage).
-// Returns false iff cancelled before completing.
-template <typename CancelFn>
-bool VerifyBlocks(const NormalizedQuery& q, const double* rows, size_t stride,
-                  const uint32_t* ids, size_t count, CancelFn&& cancelled,
-                  std::vector<uint32_t>* out) {
-  const kernels::DotOps& ops = kernels::Ops();
-  const bool le = q.cmp == Comparison::kLessEqual;
-  const double* a = q.a.data();
-  const size_t dim = q.a.size();
-  double residuals[kernels::kBlockRows];
-  for (size_t off = 0; off < count; off += kernels::kBlockRows) {
-    if (cancelled()) return false;
-    const size_t blk = std::min(kernels::kBlockRows, count - off);
-    ops.dot_gather(a, dim, rows, stride, ids + off, blk, -q.b, residuals);
-    const size_t old_size = out->size();
-    out->resize(old_size + blk);
-    const size_t kept = kernels::CompressAccept(residuals, ids + off, blk, le,
-                                                out->data() + old_size);
-    out->resize(old_size + kept);
-  }
-  return true;
-}
-
-// VerifyBlocks through the mixed-precision path (DESIGN.md section 5j):
-// per block, one f32 gather over the mirror classifies every candidate
-// against the widened band, MixedResolveBlock re-verifies only band rows
-// in f64 and leaves a decision-residual array whose CompressAccept output
-// is bit-identical to the pure-f64 path — same ids, same order, same
-// block/cancellation cadence.
-// f32-ok: `rows32` is the read-only mirror; exactness comes from the
-// band + f64 re-verify above.
-template <typename CancelFn>
-bool VerifyBlocksMixed(const NormalizedQuery& q, const MixedQueryPlan& mixed,
-                       const double* rows, const float* rows32, size_t stride,
-                       const uint32_t* ids, size_t count, CancelFn&& cancelled,
-                       std::vector<uint32_t>* out) {
-  const kernels::DotOpsF32& ops32 = kernels::OpsF32();
-  const bool le = q.cmp == Comparison::kLessEqual;
-  const double* a = q.a.data();
-  const size_t dim = q.a.size();
-  // f32-ok: mirror residual block for band classification.
-  float res32[kernels::kBlockRows];
-  double decision[kernels::kBlockRows];
-  for (size_t off = 0; off < count; off += kernels::kBlockRows) {
-    if (cancelled()) return false;
-    const size_t blk = std::min(kernels::kBlockRows, count - off);
-    ops32.dot_gather(mixed.a32.data(), dim, rows32, stride, ids + off, blk,
-                     mixed.bias32, res32);
-    MixedResolveBlock(mixed, a, dim, q.b, rows, stride, ids + off, res32, blk,
-                      decision);
-    const size_t old_size = out->size();
-    out->resize(old_size + blk);
-    const size_t kept = kernels::CompressAccept(decision, ids + off, blk, le,
-                                                out->data() + old_size);
-    out->resize(old_size + kept);
-  }
-  return true;
-}
-
 }  // namespace
 
 Result<PlanarIndex> PlanarIndex::Build(const PhiMatrix* phi,
@@ -234,24 +169,6 @@ void PlanarIndex::RefreshSearchLayout() {
       keys_f32_.clear();
       keys_f32_.shrink_to_fit();
     }
-    if (options_.learned_cdf) {
-      // The learned CDF rides the same refresh cadence as the Eytzinger
-      // sidecar: any mutation of keys_ rebuilds it, so predictions are
-      // never stale. A fit over the error budget is discarded and every
-      // boundary search falls back to the exact descent.
-      LearnedCdf::Options cdf_options;
-      cdf_options.max_error_budget = kLearnedCdfMaxErrorBudget;
-      // Scale segments with n (~1024 ranks each, >= the default 256):
-      // a fixed segment count makes per-segment rank spans — and hence
-      // fit error — grow linearly with n, which busts the error budget
-      // exactly on the large arrays where the model pays off. ~24 bytes
-      // per segment keeps the sidecar under 0.1% of the key array.
-      cdf_options.max_segments =
-          std::max<size_t>(cdf_options.max_segments, keys_.size() / 1024);
-      cdf_.Build(keys_.data(), keys_.size(), cdf_options);
-    } else {
-      cdf_.Clear();
-    }
     if (options_.payload_column >= 0) {
       BuildPrefixAggregates(
           phi_->data() + static_cast<size_t>(options_.payload_column),
@@ -263,7 +180,6 @@ void PlanarIndex::RefreshSearchLayout() {
     eytz_.Clear();
     keys_f32_.clear();
     keys_f32_.shrink_to_fit();
-    cdf_.Clear();
     payload_prefix_.Clear();
   }
 }
@@ -278,31 +194,6 @@ double PlanarIndex::RawKey(const double* phi_row) const {
 
 size_t PlanarIndex::RankLessEqual(double key) const {
   if (options_.backend == PlanarIndexOptions::Backend::kSortedArray) {
-    if (!cdf_.empty()) {
-      // Predict-then-probe (DESIGN.md 5k): the model predicts the
-      // upper-bound rank, a windowed std::upper_bound probes
-      // +/- (max_error + 2) ranks around it, and the O(1) validation
-      // below only accepts the globally-correct rank — keys_[r-1] <= key
-      // < keys_[r] with the array-edge cases — so a probe that clamped
-      // at its window edge (true rank outside the window), a NaN probe,
-      // or any model bug falls through to the exact descent. Answers are
-      // therefore identical to std::upper_bound by construction.
-      const double pred = cdf_.PredictRank(key);
-      const double w = static_cast<double>(cdf_.max_error() + 2);
-      const size_t n = keys_.size();
-      const size_t lo = pred > w ? static_cast<size_t>(pred - w) : 0;
-      const double hi_d = pred + w + 1.0;
-      const size_t hi =
-          hi_d >= static_cast<double>(n) ? n : static_cast<size_t>(hi_d);
-      if (lo < hi) {
-        const double* base = keys_.data();
-        const size_t r = static_cast<size_t>(
-            std::upper_bound(base + lo, base + hi, key) - base);
-        if ((r == 0 || base[r - 1] <= key) && (r == n || base[r] > key)) {
-          return r;
-        }
-      }
-    }
     // Branchless Eytzinger descent with prefetch; small arrays (below
     // kEytzingerMinKeys the sidecar is not materialized) keep the flat
     // std::upper_bound, which is already cache-resident there.
@@ -445,7 +336,15 @@ PlanarIndex::Prepared PlanarIndex::Prepare(const NormalizedQuery& q) const {
   return p;
 }
 
-Result<PlanarIndex::Intervals> PlanarIndex::ComputeIntervals(
+QueryStats PlanarIndex::QueryPlan::Stats() const {
+  QueryStats stats;
+  stats.num_points = n;
+  stats.accepted_directly = accepted();
+  stats.rejected_directly = rejected;
+  return stats;
+}
+
+Result<PlanarIndex::QueryPlan> PlanarIndex::Plan(
     const NormalizedQuery& q) const {
   if (!q.IsFinite()) {
     return Status::InvalidArgument("query parameters must be finite");
@@ -454,33 +353,319 @@ Result<PlanarIndex::Intervals> PlanarIndex::ComputeIntervals(
     return Status::FailedPrecondition(
         "query octant is incompatible with this index");
   }
-  Intervals iv;
+  PLANAR_CHECK_EQ(phi_->size(), size());
+  QueryPlan plan;
+  plan.n = size();
+  plan.le = q.cmp == Comparison::kLessEqual;
   if (q.IsDegenerate()) {
-    // Constant predicate: everything is decided outright, nothing is
-    // intermediate.
-    iv.smaller_end = size();
-    iv.larger_begin = size();
-    return iv;
+    // <0, phi(x)> cmp b with b >= 0: constant over all points. Everything
+    // is decided outright, nothing is intermediate.
+    const bool all_match = plan.le ? (0.0 <= q.b) : (0.0 >= q.b);
+    plan.degenerate = true;
+    plan.smaller_end = plan.larger_begin = plan.n;
+    plan.accept_end = all_match ? plan.n : 0;
+    plan.rejected = plan.n - plan.accept_end;
+    return plan;
   }
-  const Prepared p = Prepare(q);
-  iv.smaller_end = RankLessEqual(p.low_cut);
-  iv.larger_begin = RankLessEqual(p.high_cut);
-  PLANAR_DCHECK(iv.smaller_end <= iv.larger_begin);
+  plan.p = Prepare(q);
+  plan.smaller_end = RankLessEqual(plan.p.low_cut);
+  plan.larger_begin = RankLessEqual(plan.p.high_cut);
+  PLANAR_DCHECK(plan.smaller_end <= plan.larger_begin);
+  // For a <=-query the prefix is accepted and the suffix rejected
+  // outright; for a >=-query the roles swap.
+  plan.accept_begin = plan.le ? 0 : plan.larger_begin;
+  plan.accept_end = plan.le ? plan.smaller_end : plan.n;
+  plan.rejected = plan.le ? plan.n - plan.larger_begin : plan.smaller_end;
+  return plan;
+}
+
+Result<PlanarIndex::Intervals> PlanarIndex::ComputeIntervals(
+    const NormalizedQuery& q) const {
+  PLANAR_ASSIGN_OR_RETURN(const QueryPlan plan, Plan(q));
+  Intervals iv;
+  iv.smaller_end = plan.smaller_end;
+  iv.larger_begin = plan.larger_begin;
   return iv;
 }
+
+// The sorted array is read in place; the B+-tree keeps rank order behind
+// node pointers and is walked through its leaf chain.
+class PlanarIndex::RankCursor {
+ public:
+  RankCursor(const PlanarIndex& index, size_t rank)
+      : index_(index),
+        flat_(index.options_.backend ==
+              PlanarIndexOptions::Backend::kSortedArray),
+        rank_(rank) {
+    if (!flat_) it_ = index.tree_.IteratorAt(rank);
+  }
+
+  size_t rank() const { return rank_; }
+  double key() const { return flat_ ? index_.keys_[rank_] : it_.entry().key; }
+  uint32_t id() const { return flat_ ? index_.ids_[rank_] : it_.entry().value; }
+  void Next() {
+    ++rank_;
+    if (!flat_) it_.Next();
+  }
+  void Prev() {
+    --rank_;
+    if (!flat_) it_.Prev();
+  }
+
+  // The ids of the next `count` ranks, moving past them: a view into the
+  // sorted array, or gathered into `buf` from the tree.
+  const uint32_t* Take(size_t count, uint32_t* buf) {
+    const size_t first = rank_;
+    rank_ += count;
+    if (flat_) return index_.ids_.data() + first;
+    for (size_t i = 0; i < count; ++i, it_.Next()) buf[i] = it_.entry().value;
+    return buf;
+  }
+
+ private:
+  const PlanarIndex& index_;
+  bool flat_;
+  size_t rank_;
+  OrderStatisticBTree::Iterator it_;
+};
 
 void PlanarIndex::CollectRange(size_t begin, size_t end,
                                std::vector<uint32_t>* out) const {
   PLANAR_CHECK(begin <= end && end <= size());
-  out->reserve(out->size() + (end - begin));
   if (options_.backend == PlanarIndexOptions::Backend::kSortedArray) {
-    for (size_t r = begin; r < end; ++r) out->push_back(ids_[r]);
-  } else {
-    OrderStatisticBTree::Iterator it = tree_.IteratorAt(begin);
-    for (size_t r = begin; r < end; ++r, it.Next()) {
-      out->push_back(it.entry().value);
-    }
+    out->insert(out->end(), ids_.begin() + static_cast<ptrdiff_t>(begin),
+                ids_.begin() + static_cast<ptrdiff_t>(end));
+    return;
   }
+  out->reserve(out->size() + (end - begin));
+  for (RankCursor cursor(*this, begin); cursor.rank() < end; cursor.Next()) {
+    out->push_back(cursor.id());
+  }
+}
+
+namespace {
+
+// Sinks of the block driver (PlanarIndex::Drive). A sink whose
+// kNeedsResiduals is false consumes accept decisions: with the mixed plan
+// the sure rows arrive as sign sentinels and only band rows carry exact
+// residuals. A sink that needs exact residuals (top-k distances) gets
+// them for every row that is not a sure reject.
+
+// Appends accepted ids to *out, which must have capacity for every
+// streamed row (resize within reserved capacity never reallocates).
+class IdSink {
+ public:
+  static constexpr bool kNeedsResiduals = false;
+
+  IdSink(bool le, std::vector<uint32_t>* out) : le_(le), out_(out) {}
+
+  bool Done() const { return false; }
+  void Consume(const uint32_t* ids, size_t count, const double* decision,
+               size_t /*blk*/) {
+    const size_t old_size = out_->size();
+    out_->resize(old_size + count);
+    const size_t kept = kernels::CompressAccept(decision, ids, count, le_,
+                                                out_->data() + old_size);
+    out_->resize(old_size + kept);
+  }
+
+ private:
+  bool le_;
+  std::vector<uint32_t>* out_;
+};
+
+// Counts accepted rows and, with a payload column, sums their payloads
+// in canonical blocked summation (block order, so a refined sum is
+// deterministic for a fixed index state). `stop(resolved)` ends the
+// stream early once the unresolved remainder fits the tolerance.
+template <typename StopFn>
+class CountSink {
+ public:
+  static constexpr bool kNeedsResiduals = false;
+
+  CountSink(bool le, const double* payload, size_t payload_stride,
+            StopFn stop)
+      : le_(le), payload_(payload), stride_(payload_stride), stop_(stop) {}
+
+  bool Done() const { return stop_(resolved_); }
+  void Consume(const uint32_t* ids, size_t count, const double* decision,
+               size_t blk) {
+    uint32_t kept_ids[kernels::kBlockRows];
+    const size_t kept =
+        kernels::CompressAccept(decision, ids, count, le_, kept_ids);
+    accepted_ += kept;
+    resolved_ += blk;
+    if (payload_ == nullptr || kept == 0) return;
+    double vals[kernels::kBlockRows];
+    for (size_t i = 0; i < kept; ++i) {
+      vals[i] = payload_[static_cast<size_t>(kept_ids[i]) * stride_];
+    }
+    sum_ += CanonicalBlockedSum(vals, kept);
+  }
+
+  size_t accepted() const { return accepted_; }
+  size_t resolved() const { return resolved_; }
+  double sum() const { return sum_; }
+
+ private:
+  bool le_;
+  const double* payload_;
+  size_t stride_;
+  StopFn stop_;
+  size_t accepted_ = 0;
+  size_t resolved_ = 0;
+  double sum_ = 0.0;
+};
+
+// Offers every matching row to the top-k heap at its hyperplane distance.
+class TopKSink {
+ public:
+  static constexpr bool kNeedsResiduals = true;
+
+  TopKSink(bool le, double norm_a, TopKBuffer* buffer)
+      : le_(le), norm_a_(norm_a), buffer_(buffer) {}
+
+  bool Done() const { return false; }
+  void Consume(const uint32_t* ids, size_t count, const double* residuals,
+               size_t blk) {
+    for (size_t i = 0; i < count; ++i) {
+      const double residual = residuals[i];
+      const bool match = le_ ? residual <= 0.0 : residual >= 0.0;
+      if (match) buffer_->Insert(ids[i], std::fabs(residual) / norm_a_);
+    }
+    verified_ += blk;
+  }
+
+  size_t verified() const { return verified_; }
+
+ private:
+  bool le_;
+  double norm_a_;
+  TopKBuffer* buffer_;
+  size_t verified_ = 0;
+};
+
+}  // namespace
+
+// The one place that forks between the sorted array and the B+-tree
+// cursor and between the f64 kernels and the f32 mirror. Per block of
+// kernels::kBlockRows rows: one sink poll, one cancellation poll, one
+// batched residual computation. With a usable mixed plan one f32 gather
+// classifies the block against the widened band (DESIGN.md section 5j)
+// and only the rows it cannot decide are evaluated in f64, so every sink
+// sees exactly what the pure-f64 path would give it.
+template <typename Sink, typename CancelFn>
+bool PlanarIndex::Drive(const NormalizedQuery& q, const MixedQueryPlan& mixed,
+                        size_t begin, size_t end, const CancelFn& cancelled,
+                        Sink* sink) const {
+  const kernels::DotOps& ops = kernels::Ops();
+  const kernels::DotOpsF32& ops32 = kernels::OpsF32();
+  const double* a = q.a.data();
+  const size_t dim = q.a.size();
+  const double* rows = phi_->data();
+  // f32-ok: read-only mirror; exactness comes from the band + f64
+  // re-verify.
+  const float* rows32 = phi_->f32_data();
+  const size_t stride = phi_->dim();
+  RankCursor cursor(*this, begin);
+  uint32_t gathered[kernels::kBlockRows];
+  uint32_t possible[kernels::kBlockRows];
+  double residuals[kernels::kBlockRows];
+  // f32-ok: mirror residual block for band classification.
+  float res32[kernels::kBlockRows];
+  for (size_t r = begin; r < end; r += kernels::kBlockRows) {
+    if (sink->Done()) return true;
+    if (cancelled()) return false;
+    const size_t blk = std::min(kernels::kBlockRows, end - r);
+    const uint32_t* ids = cursor.Take(blk, gathered);
+    const uint32_t* eval = ids;
+    size_t count = blk;
+    if (!mixed.usable) {
+      ops.dot_gather(a, dim, rows, stride, ids, blk, -q.b, residuals);
+    } else {
+      ops32.dot_gather(mixed.a32.data(), dim, rows32, stride, ids, blk,
+                       mixed.bias32, res32);
+      if constexpr (Sink::kNeedsResiduals) {
+        count = MixedFilterPossible(mixed, res32, ids, blk, possible);
+        eval = possible;
+        ops.dot_gather(a, dim, rows, stride, eval, count, -q.b, residuals);
+      } else {
+        MixedResolveBlock(mixed, a, dim, q.b, rows, stride, ids, res32, blk,
+                          residuals);
+      }
+    }
+    sink->Consume(eval, count, residuals, blk);
+  }
+  return true;
+}
+
+MixedQueryPlan PlanarIndex::MixedPlanFor(const NormalizedQuery& q) const {
+  if (!options_.mixed_precision) return MixedQueryPlan();
+  return MakeMixedPlan(q.a.data(), q.a.size(), q.b,
+                       q.cmp == Comparison::kLessEqual, *phi_);
+}
+
+bool PlanarIndex::VerifyIds(const NormalizedQuery& q, const QueryPlan& plan,
+                            const Deadline& deadline,
+                            std::vector<uint32_t>* out) const {
+  const size_t count = plan.ii();
+  if (count == 0) return true;
+  // One mixed-precision plan per query, shared read-only by every chunk;
+  // unusable means the blocks run pure f64.
+  const MixedQueryPlan mixed = MixedPlanFor(q);
+  size_t threads = options_.parallel_verify_threads;
+  if (threads == 1 || count < kParallelVerifyMinRows) {
+    IdSink sink(plan.le, out);
+    return Drive(q, mixed, plan.smaller_end, plan.larger_begin,
+                 [&deadline] { return deadline.Expired(); }, &sink);
+  }
+  if (threads == 0) {
+    threads = std::max(1u, std::thread::hardware_concurrency());
+  }
+  const size_t chunks = std::min(threads, count);
+  const size_t chunk = (count + chunks - 1) / chunks;
+  std::vector<std::vector<uint32_t>> chunk_out(chunks);
+  // Cooperative cancellation across chunks: the first chunk to observe an
+  // expired deadline raises the flag; every other chunk sees it at its
+  // next block boundary and stops. Relaxed ordering suffices — the flag
+  // only accelerates shutdown (a chunk that misses a racing store merely
+  // verifies one more block), and the authoritative answer is the
+  // post-join load below, which ParallelFor's join synchronizes with.
+  // Strengthening to acquire/release would buy nothing; weakening is
+  // impossible (relaxed is the floor). Do not replace the flag with a
+  // plain bool: concurrent chunks store and load it without any lock.
+  std::atomic<bool> expired(false);
+  ParallelFor(
+      chunks,
+      [&](size_t c) {
+        const size_t begin = plan.smaller_end + c * chunk;
+        const size_t end = std::min(plan.larger_begin, begin + chunk);
+        if (begin >= end) return;
+        std::vector<uint32_t>& local = chunk_out[c];
+        local.reserve(end - begin);
+        IdSink sink(plan.le, &local);
+        auto cancelled = [&] {
+          // relaxed-ok: advisory fast-exit flag; the post-join load
+          // is the authoritative answer (see the comment at the
+          // declaration above).
+          if (expired.load(std::memory_order_relaxed)) return true;
+          if (!deadline.Expired()) return false;
+          expired.store(true, std::memory_order_relaxed);
+          return true;
+        };
+        (void)Drive(q, mixed, begin, end, cancelled, &sink);
+      },
+      chunks);
+  // relaxed-ok: ParallelFor's join happens-before this load, so every
+  // chunk's store (any order) is already visible; no flag-based
+  // synchronization is being relied on.
+  if (expired.load(std::memory_order_relaxed)) return false;
+  // Chunk c holds the accepted ids of its rank range in rank order, so
+  // concatenation in chunk order reproduces the serial output exactly.
+  for (const std::vector<uint32_t>& local : chunk_out) {
+    out->insert(out->end(), local.begin(), local.end());
+  }
+  return true;
 }
 
 Result<InequalityResult> PlanarIndex::Inequality(
@@ -495,193 +680,35 @@ Result<InequalityResult> PlanarIndex::Inequality(
 
 Result<InequalityResult> PlanarIndex::Inequality(
     const NormalizedQuery& q, const Deadline& deadline) const {
-  if (!q.IsFinite()) {
-    return Status::InvalidArgument("query parameters must be finite");
-  }
-  if (!CanServe(q)) {
-    return Status::FailedPrecondition(
-        "query octant is incompatible with this index");
-  }
-  PLANAR_CHECK_EQ(phi_->size(), size());
-  return RunInequality(q, deadline);
+  PLANAR_ASSIGN_OR_RETURN(const QueryPlan plan, Plan(q));
+  return ServeInequality(q, plan, deadline);
 }
 
-Result<InequalityResult> PlanarIndex::RunInequality(
-    const NormalizedQuery& q, const Deadline& deadline) const {
-  const size_t n = size();
+Result<InequalityResult> PlanarIndex::ServeInequality(
+    const NormalizedQuery& q, const QueryPlan& plan,
+    const Deadline& deadline) const {
   InequalityResult result;
-  result.stats.num_points = n;
-
-  if (q.IsDegenerate()) {
-    // <0, phi(x)> cmp b with b >= 0: constant over all points.
-    const bool all_match =
-        q.cmp == Comparison::kLessEqual ? (0.0 <= q.b) : (0.0 >= q.b);
-    if (all_match) {
-      result.ids.resize(n);
-      std::iota(result.ids.begin(), result.ids.end(), 0u);
-      result.stats.accepted_directly = n;
-    } else {
-      result.stats.rejected_directly = n;
-    }
-    result.stats.result_size = result.ids.size();
-    return result;
-  }
-
-  const Prepared p = Prepare(q);
-  const size_t smaller_end = RankLessEqual(p.low_cut);
-  const size_t larger_begin = RankLessEqual(p.high_cut);
-  PLANAR_DCHECK(smaller_end <= larger_begin);
-
-  // One mixed-precision plan per query, shared read-only by every
-  // verification shard; unusable means the blocks run pure f64.
-  const MixedQueryPlan mixed = MixedPlanFor(q);
-  const bool le = q.cmp == Comparison::kLessEqual;
-  // Which rank range is accepted outright.
-  const size_t accept_begin = le ? 0 : larger_begin;
-  const size_t accept_end = le ? smaller_end : n;
-  const size_t ii_count = larger_begin - smaller_end;
-
-  // Worst case up front (every II candidate accepted): one allocation for
-  // the whole query, and the verification blocks may compress-store
-  // straight into the vector's tail without capacity checks.
-  result.ids.reserve((accept_end - accept_begin) + ii_count);
-
-  // The II is verified by the batched kernels (core/kernels): per block of
-  // kernels::kBlockRows candidates, one deadline poll, one batched
-  // residual computation, one compress-store append — no per-row branch,
-  // no per-row clock read. An already-expired request still verifies
-  // nothing (the first block polls before any work).
-  if (options_.backend == PlanarIndexOptions::Backend::kSortedArray) {
-    result.ids.insert(result.ids.end(),
-                      ids_.begin() + static_cast<ptrdiff_t>(accept_begin),
-                      ids_.begin() + static_cast<ptrdiff_t>(accept_end));
-    if (!VerifyCandidates(q, mixed, ids_.data() + smaller_end, ii_count,
-                          deadline, &result.ids)) {
-      return Status::DeadlineExceeded(
-          "inequality query exceeded its deadline during II verification");
-    }
+  result.stats = plan.Stats();
+  result.stats.verified = plan.ii();
+  if (plan.degenerate) {
+    // Constant predicate: every row (in row order) or none.
+    result.ids.resize(plan.accepted());
+    std::iota(result.ids.begin(), result.ids.end(), 0u);
   } else {
-    OrderStatisticBTree::Iterator it = tree_.IteratorAt(accept_begin);
-    for (size_t r = accept_begin; r < accept_end; ++r, it.Next()) {
-      result.ids.push_back(it.entry().value);
-    }
-    // The B+-tree stores rank order behind node pointers: materialize the
-    // candidate ids once (O(|II|) leaf walk), then verify the flat array
-    // with the same batched kernels as the sorted-array backend.
-    std::vector<uint32_t> candidates;
-    CollectRange(smaller_end, larger_begin, &candidates);
-    if (!VerifyCandidates(q, mixed, candidates.data(), ii_count, deadline,
-                          &result.ids)) {
+    // Worst case up front (every II candidate accepted): one allocation
+    // for the whole query, and the id sink may compress-store straight
+    // into the vector's tail without capacity checks. An already-expired
+    // request still verifies nothing (the first block polls before any
+    // work).
+    result.ids.reserve(plan.accepted() + plan.ii());
+    CollectRange(plan.accept_begin, plan.accept_end, &result.ids);
+    if (!VerifyIds(q, plan, deadline, &result.ids)) {
       return Status::DeadlineExceeded(
           "inequality query exceeded its deadline during II verification");
     }
   }
-
-  result.stats.accepted_directly = accept_end - accept_begin;
-  result.stats.rejected_directly =
-      le ? n - larger_begin : smaller_end;
-  result.stats.verified = larger_begin - smaller_end;
   result.stats.result_size = result.ids.size();
   return result;
-}
-
-MixedQueryPlan PlanarIndex::MixedPlanFor(const NormalizedQuery& q) const {
-  if (!options_.mixed_precision) return MixedQueryPlan();
-  return MakeMixedPlan(q.a.data(), q.a.size(), q.b,
-                       q.cmp == Comparison::kLessEqual, *phi_);
-}
-
-bool PlanarIndex::VerifyCandidates(const NormalizedQuery& q,
-                                   const MixedQueryPlan& mixed,
-                                   const uint32_t* ids, size_t count,
-                                   const Deadline& deadline,
-                                   std::vector<uint32_t>* out) const {
-  if (count == 0) return true;
-  const size_t threads = options_.parallel_verify_threads;
-  if (threads != 1 && count >= kParallelVerifyMinRows) {
-    return VerifyCandidatesParallel(q, mixed, ids, count, threads, deadline,
-                                    out);
-  }
-  return VerifyCandidatesSerial(q, mixed, ids, count, deadline, out);
-}
-
-bool PlanarIndex::VerifyCandidatesSerial(const NormalizedQuery& q,
-                                         const MixedQueryPlan& mixed,
-                                         const uint32_t* ids, size_t count,
-                                         const Deadline& deadline,
-                                         std::vector<uint32_t>* out) const {
-  if (mixed.usable) {
-    return VerifyBlocksMixed(q, mixed, phi_->data(), phi_->f32_data(),
-                             phi_->dim(), ids, count,
-                             [&deadline] { return deadline.Expired(); }, out);
-  }
-  return VerifyBlocks(q, phi_->data(), phi_->dim(), ids, count,
-                      [&deadline] { return deadline.Expired(); }, out);
-}
-
-bool PlanarIndex::VerifyCandidatesParallel(const NormalizedQuery& q,
-                                           const MixedQueryPlan& mixed,
-                                           const uint32_t* ids, size_t count,
-                                           size_t threads,
-                                           const Deadline& deadline,
-                                           std::vector<uint32_t>* out) const {
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  const size_t shards = std::min(threads, count);
-  const size_t chunk = (count + shards - 1) / shards;
-  std::vector<std::vector<uint32_t>> shard_out(shards);
-  // Cooperative cancellation across shards: the first shard to observe an
-  // expired deadline raises the flag; every other shard sees it at its
-  // next block boundary and stops. Relaxed ordering suffices — the flag
-  // only accelerates shutdown (a shard that misses a racing store merely
-  // verifies one more block), and the authoritative answer is the
-  // post-join load below, which ParallelFor's join synchronizes with.
-  // Strengthening to acquire/release would buy nothing; weakening is
-  // impossible (relaxed is the floor). Do not replace the flag with a
-  // plain bool: concurrent shards store and load it without any lock.
-  std::atomic<bool> expired(false);
-  ParallelFor(
-      shards,
-      [&](size_t s) {
-        const size_t begin = s * chunk;
-        const size_t end = std::min(count, begin + chunk);
-        if (begin >= end) return;
-        std::vector<uint32_t>& local = shard_out[s];
-        local.reserve(end - begin);
-        auto cancelled = [&] {
-          // relaxed-ok: advisory fast-exit flag; the post-join load
-          // is the authoritative answer (see the comment at the
-          // declaration above).
-          if (expired.load(std::memory_order_relaxed)) return true;
-          if (!deadline.Expired()) return false;
-          expired.store(true, std::memory_order_relaxed);
-          return true;
-        };
-        // The mixed plan is read-only; every shard classifies its own
-        // candidate range with it, so shard-order concatenation still
-        // reproduces the serial (mixed or pure-f64) output exactly.
-        const bool done =
-            mixed.usable
-                ? VerifyBlocksMixed(q, mixed, phi_->data(), phi_->f32_data(),
-                                    phi_->dim(), ids + begin, end - begin,
-                                    cancelled, &local)
-                : VerifyBlocks(q, phi_->data(), phi_->dim(), ids + begin,
-                               end - begin, cancelled, &local);
-        (void)done;
-      },
-      shards);
-  // relaxed-ok: ParallelFor's join happens-before this load, so every
-  // shard's store (any order) is already visible; no flag-based
-  // synchronization is being relied on.
-  if (expired.load(std::memory_order_relaxed)) return false;
-  // Merge in shard order: shard s holds accepted ids of candidate range
-  // [s*chunk, (s+1)*chunk) in candidate order, so concatenation
-  // reproduces the serial output exactly.
-  for (const std::vector<uint32_t>& local : shard_out) {
-    out->insert(out->end(), local.begin(), local.end());
-  }
-  return true;
 }
 
 Result<CountResult> PlanarIndex::CountInequality(
@@ -693,15 +720,47 @@ Result<CountResult> PlanarIndex::CountInequality(
 Result<CountResult> PlanarIndex::CountInequality(
     const NormalizedQuery& q, const CountTolerance& tolerance,
     const Deadline& deadline) const {
-  if (!q.IsFinite()) {
-    return Status::InvalidArgument("query parameters must be finite");
+  PLANAR_ASSIGN_OR_RETURN(const QueryPlan plan, Plan(q));
+  return ServeCount(q, plan, tolerance, deadline);
+}
+
+Result<CountResult> PlanarIndex::ServeCount(const NormalizedQuery& q,
+                                            const QueryPlan& plan,
+                                            const CountTolerance& tolerance,
+                                            const Deadline& deadline) const {
+  const size_t n = plan.n;
+  const size_t outright = plan.accepted();
+  const size_t ii = plan.ii();
+  CountResult result;
+  result.stats = plan.Stats();
+  result.lower = outright;
+  result.upper = outright + ii;
+
+  const double allowed_d = tolerance.Allowed(static_cast<double>(n));
+  const size_t allowed = allowed_d >= static_cast<double>(n)
+                             ? n
+                             : static_cast<size_t>(allowed_d);
+  if (result.gap() > allowed) {
+    // Refine: stream the II through the counting sink, stopping as soon
+    // as the unresolved remainder fits the tolerance (never, at 0).
+    // Refinement always runs serially: the early stop is a running prefix
+    // over rank order, which chunking would reorder.
+    CountSink sink(plan.le, nullptr, 0,
+                   [ii, allowed](size_t done) { return ii - done <= allowed; });
+    if (!Drive(q, MixedPlanFor(q), plan.smaller_end, plan.larger_begin,
+               [&deadline] { return deadline.Expired(); }, &sink)) {
+      return Status::DeadlineExceeded(
+          "count query exceeded its deadline during II refinement");
+    }
+    result.refined = true;
+    result.lower = outright + sink.accepted();
+    result.upper = result.lower + (ii - sink.resolved());
+    result.stats.verified = sink.resolved();
   }
-  if (!CanServe(q)) {
-    return Status::FailedPrecondition(
-        "query octant is incompatible with this index");
-  }
-  PLANAR_CHECK_EQ(phi_->size(), size());
-  return RunCount(q, tolerance, deadline);
+  result.exact = result.gap() == 0;
+  result.estimate = result.lower + result.gap() / 2;
+  result.stats.result_size = result.estimate;
+  return result;
 }
 
 Result<AggregateResult> PlanarIndex::AggregateInequality(
@@ -713,278 +772,81 @@ Result<AggregateResult> PlanarIndex::AggregateInequality(
 Result<AggregateResult> PlanarIndex::AggregateInequality(
     const NormalizedQuery& q, const CountTolerance& tolerance,
     const Deadline& deadline) const {
-  if (!q.IsFinite()) {
-    return Status::InvalidArgument("query parameters must be finite");
-  }
-  if (!CanServe(q)) {
-    return Status::FailedPrecondition(
-        "query octant is incompatible with this index");
-  }
-  PLANAR_CHECK_EQ(phi_->size(), size());
-  return RunAggregate(q, tolerance, deadline);
+  PLANAR_ASSIGN_OR_RETURN(const QueryPlan plan, Plan(q));
+  return ServeAggregate(q, plan, tolerance, deadline);
 }
 
-bool PlanarIndex::CountCandidates(const NormalizedQuery& q,
-                                  const MixedQueryPlan& mixed,
-                                  const uint32_t* ids, size_t count,
-                                  const double* payload, size_t payload_stride,
-                                  const Deadline& deadline,
-                                  const std::function<bool(size_t)>& stop,
-                                  size_t* accepted, size_t* resolved,
-                                  double* accepted_sum) const {
-  // The counting twin of VerifyBlocks / VerifyBlocksMixed: same block
-  // size, same deadline cadence, same accept predicate (through the same
-  // CompressAccept kernel), but accepts land in a scratch block instead
-  // of a result vector. Refinement always runs serially: the early-stop
-  // predicate is a running prefix over rank order, which sharding would
-  // reorder.
-  const kernels::DotOps& ops = kernels::Ops();
-  const kernels::DotOpsF32& ops32 = kernels::OpsF32();
-  const bool le = q.cmp == Comparison::kLessEqual;
-  const double* a = q.a.data();
-  const size_t dim = q.a.size();
-  const double* rows = phi_->data();
-  // f32-ok: read-only mirror for the mixed counting blocks.
-  const float* rows32 = phi_->f32_data();
-  const size_t stride = phi_->dim();
-  double residuals[kernels::kBlockRows];
-  // f32-ok: mirror residual block for band classification.
-  float res32[kernels::kBlockRows];
-  uint32_t kept_ids[kernels::kBlockRows];
-  double vals[kernels::kBlockRows];
-  for (size_t off = 0; off < count; off += kernels::kBlockRows) {
-    if (stop && stop(*resolved)) return true;
-    if (deadline.Expired()) return false;
-    const size_t blk = std::min(kernels::kBlockRows, count - off);
-    size_t kept;
-    if (mixed.usable) {
-      ops32.dot_gather(mixed.a32.data(), dim, rows32, stride, ids + off, blk,
-                       mixed.bias32, res32);
-      MixedResolveBlock(mixed, a, dim, q.b, rows, stride, ids + off, res32,
-                        blk, residuals);
-      kept = kernels::CompressAccept(residuals, ids + off, blk, le, kept_ids);
-    } else {
-      ops.dot_gather(a, dim, rows, stride, ids + off, blk, -q.b, residuals);
-      kept = kernels::CompressAccept(residuals, ids + off, blk, le, kept_ids);
-    }
-    *accepted += kept;
-    *resolved += blk;
-    if (payload != nullptr && kept != 0) {
-      for (size_t i = 0; i < kept; ++i) {
-        vals[i] = payload[static_cast<size_t>(kept_ids[i]) * payload_stride];
-      }
-      // agg-ok: per-block payload totals go through the canonical helper
-      // and accumulate in block order, so a refined sum is deterministic
-      // for a fixed index state.
-      *accepted_sum += CanonicalBlockedSum(vals, kept);
-    }
-  }
-  return true;
-}
-
-Result<CountResult> PlanarIndex::RunCount(const NormalizedQuery& q,
-                                          const CountTolerance& tolerance,
-                                          const Deadline& deadline) const {
-  const size_t n = size();
-  CountResult result;
-  result.stats.num_points = n;
-  const bool le = q.cmp == Comparison::kLessEqual;
-
-  if (q.IsDegenerate()) {
-    // <0, phi(x)> cmp b with b >= 0: constant over all points.
-    const bool all_match = le ? (0.0 <= q.b) : (0.0 >= q.b);
-    result.lower = result.upper = result.estimate = all_match ? n : 0;
-    result.exact = true;
-    if (all_match) {
-      result.stats.accepted_directly = n;
-    } else {
-      result.stats.rejected_directly = n;
-    }
-    result.stats.result_size = result.estimate;
-    return result;
-  }
-
-  const Prepared p = Prepare(q);
-  const size_t smaller_end = RankLessEqual(p.low_cut);
-  const size_t larger_begin = RankLessEqual(p.high_cut);
-  PLANAR_DCHECK(smaller_end <= larger_begin);
-  const size_t outright = le ? smaller_end : n - larger_begin;
-  const size_t ii_count = larger_begin - smaller_end;
-  result.lower = outright;
-  result.upper = outright + ii_count;
-  result.stats.accepted_directly = outright;
-  result.stats.rejected_directly = le ? n - larger_begin : smaller_end;
-
-  // Point estimate inside the current bounds: the learned CDF evaluated
-  // at the midpoint of the key cuts when available (clamped into the
-  // sound bounds, so a bad model can bias but never lie), otherwise the
-  // bound midpoint.
-  auto fill_estimate = [&](CountResult* r) {
-    r->estimate = r->lower + (r->upper - r->lower) / 2;
-    if (r->lower == r->upper) return;
-    if (cdf_.empty()) return;
-    const double mid_cut = 0.5 * p.low_cut + 0.5 * p.high_cut;
-    if (!std::isfinite(mid_cut)) return;
-    const double pred = cdf_.PredictRank(mid_cut);
-    double est = le ? pred : static_cast<double>(n) - pred;
-    est = std::min(static_cast<double>(r->upper),
-                   std::max(static_cast<double>(r->lower), est));
-    r->estimate = std::min(
-        r->upper, std::max(r->lower, static_cast<size_t>(est + 0.5)));
-    r->model_estimated = true;
-  };
-
-  const double allowed_d = tolerance.Allowed(static_cast<double>(n));
-  const size_t allowed = allowed_d >= static_cast<double>(n)
-                             ? n
-                             : static_cast<size_t>(allowed_d);
-  if (result.gap() <= allowed) {
-    result.exact = result.gap() == 0;
-    fill_estimate(&result);
-    result.stats.result_size = result.estimate;
-    return result;
-  }
-
-  // Refine: stream the II through the counting blocks, stopping as soon
-  // as the unresolved remainder fits the tolerance (never, at 0).
-  const MixedQueryPlan mixed = MixedPlanFor(q);
-  size_t accepted = 0;
-  size_t resolved = 0;
-  double unused_sum = 0.0;
-  const std::function<bool(size_t)> stop = [&](size_t done) {
-    return ii_count - done <= allowed;
-  };
-  bool completed;
-  if (options_.backend == PlanarIndexOptions::Backend::kSortedArray) {
-    completed =
-        CountCandidates(q, mixed, ids_.data() + smaller_end, ii_count, nullptr,
-                        0, deadline, stop, &accepted, &resolved, &unused_sum);
-  } else {
-    std::vector<uint32_t> candidates;
-    CollectRange(smaller_end, larger_begin, &candidates);
-    completed = CountCandidates(q, mixed, candidates.data(), ii_count, nullptr,
-                                0, deadline, stop, &accepted, &resolved,
-                                &unused_sum);
-  }
-  if (!completed) {
-    return Status::DeadlineExceeded(
-        "count query exceeded its deadline during II refinement");
-  }
-  result.refined = true;
-  result.lower = outright + accepted;
-  result.upper = result.lower + (ii_count - resolved);
-  result.exact = result.gap() == 0;
-  result.stats.verified = resolved;
-  fill_estimate(&result);
-  result.stats.result_size = result.estimate;
-  return result;
-}
-
-Result<AggregateResult> PlanarIndex::RunAggregate(
-    const NormalizedQuery& q, const CountTolerance& tolerance,
-    const Deadline& deadline) const {
+Result<AggregateResult> PlanarIndex::ServeAggregate(
+    const NormalizedQuery& q, const QueryPlan& plan,
+    const CountTolerance& tolerance, const Deadline& deadline) const {
   if (!has_payload()) {
     return Status::FailedPrecondition(
         "no payload column configured (set PlanarIndexOptions::"
         "payload_column on the sorted-array backend)");
   }
-  const size_t n = size();
-  const bool le = q.cmp == Comparison::kLessEqual;
+  const size_t n = plan.n;
+  const size_t se = plan.smaller_end;
+  const size_t lb = plan.larger_begin;
+  const size_t outright = plan.accepted();
+  const size_t ii = plan.ii();
   const PrefixAggregates& pre = payload_prefix_;
   PLANAR_DCHECK(pre.sum.size() == n + 1);
   AggregateResult result;
-  result.count.stats.num_points = n;
-
-  if (q.IsDegenerate()) {
-    const bool all_match = le ? (0.0 <= q.b) : (0.0 >= q.b);
-    const size_t c = all_match ? n : 0;
-    result.count.lower = result.count.upper = result.count.estimate = c;
-    result.count.exact = true;
-    if (all_match) {
-      result.count.stats.accepted_directly = n;
-      result.sum = pre.sum[n];
-    } else {
-      result.count.stats.rejected_directly = n;
-    }
-    result.sum_lower = result.sum_upper = result.sum;
-    result.exact = true;
-    result.count.stats.result_size = c;
-    return result;
-  }
-
-  const Prepared p = Prepare(q);
-  const size_t smaller_end = RankLessEqual(p.low_cut);
-  const size_t larger_begin = RankLessEqual(p.high_cut);
-  PLANAR_DCHECK(smaller_end <= larger_begin);
-  const size_t outright = le ? smaller_end : n - larger_begin;
-  const size_t ii_count = larger_begin - smaller_end;
+  result.count.stats = plan.Stats();
+  result.count.lower = outright;
+  result.count.upper = outright + ii;
 
   // Exact payload total of the outright-accepted rank range, straight
   // from the prefix sums; the II contributes its negative/positive-part
   // envelope to the bounds.
   const double accept_sum =
-      le ? pre.sum[smaller_end] : pre.sum[n] - pre.sum[larger_begin];
-  result.sum_lower = accept_sum + (pre.neg[larger_begin] - pre.neg[smaller_end]);
-  result.sum_upper = accept_sum + (pre.pos[larger_begin] - pre.pos[smaller_end]);
-
-  result.count.lower = outright;
-  result.count.upper = outright + ii_count;
-  result.count.stats.accepted_directly = outright;
-  result.count.stats.rejected_directly = le ? n - larger_begin : smaller_end;
-  result.count.estimate =
-      result.count.lower + (result.count.upper - result.count.lower) / 2;
+      plan.le ? pre.sum[plan.accept_end]
+              : pre.sum[plan.accept_end] - pre.sum[plan.accept_begin];
+  result.sum_lower = accept_sum + (pre.neg[lb] - pre.neg[se]);
+  result.sum_upper = accept_sum + (pre.pos[lb] - pre.pos[se]);
 
   const double total_abs = pre.pos[n] - pre.neg[n];
   const double allowed = tolerance.Allowed(total_abs);
-  double gap = result.sum_upper - result.sum_lower;
-  if (gap <= allowed) {
-    result.exact = gap == 0.0;
+  if (result.sum_upper - result.sum_lower <= allowed) {
+    result.exact = result.sum_upper - result.sum_lower == 0.0;
     result.count.exact = result.count.gap() == 0;
+    result.count.estimate = result.count.lower + result.count.gap() / 2;
     result.sum = result.exact ? result.sum_lower
                               : 0.5 * result.sum_lower + 0.5 * result.sum_upper;
     result.count.stats.result_size = result.count.estimate;
     return result;
   }
 
-  // Refine: stream the II in rank order, accumulating accepted payloads
-  // in canonical blocked summation, stopping once the envelope of the
-  // unresolved rank suffix fits the tolerance. The suffix envelope is a
-  // prefix-array difference, so the stop predicate is O(1) per poll.
-  const MixedQueryPlan mixed = MixedPlanFor(q);
-  const double* payload =
-      phi_->data() + static_cast<size_t>(options_.payload_column);
-  size_t accepted = 0;
-  size_t resolved = 0;
-  double accepted_sum = 0.0;
-  const std::function<bool(size_t)> stop = [&](size_t done) {
-    const size_t r = smaller_end + done;
-    const double rem_gap = (pre.pos[larger_begin] - pre.pos[r]) -
-                           (pre.neg[larger_begin] - pre.neg[r]);
-    return rem_gap <= allowed;
-  };
-  const bool completed = CountCandidates(
-      q, mixed, ids_.data() + smaller_end, ii_count, payload, phi_->dim(),
-      deadline, stop, &accepted, &resolved, &accepted_sum);
-  if (!completed) {
+  // Refine: stream the II in rank order, accumulating accepted payloads,
+  // stopping once the envelope of the unresolved rank suffix fits the
+  // tolerance. The suffix envelope is a prefix-array difference, so the
+  // stop predicate is O(1) per poll.
+  CountSink sink(
+      plan.le, phi_->data() + static_cast<size_t>(options_.payload_column),
+      phi_->dim(), [&pre, se, lb, allowed](size_t done) {
+        const size_t r = se + done;
+        return (pre.pos[lb] - pre.pos[r]) - (pre.neg[lb] - pre.neg[r]) <=
+               allowed;
+      });
+  if (!Drive(q, MixedPlanFor(q), se, lb,
+             [&deadline] { return deadline.Expired(); }, &sink)) {
     return Status::DeadlineExceeded(
         "aggregate query exceeded its deadline during II refinement");
   }
+  const size_t resolved = sink.resolved();
   result.refined = true;
   result.count.refined = true;
-  result.count.lower = outright + accepted;
-  result.count.upper = result.count.lower + (ii_count - resolved);
+  result.count.lower = outright + sink.accepted();
+  result.count.upper = result.count.lower + (ii - resolved);
   result.count.exact = result.count.gap() == 0;
-  result.count.estimate =
-      result.count.lower + (result.count.upper - result.count.lower) / 2;
+  result.count.estimate = result.count.lower + result.count.gap() / 2;
   result.count.stats.verified = resolved;
   result.count.stats.result_size = result.count.estimate;
-  const size_t r = smaller_end + resolved;
-  result.sum_lower =
-      accept_sum + accepted_sum + (pre.neg[larger_begin] - pre.neg[r]);
-  result.sum_upper =
-      accept_sum + accepted_sum + (pre.pos[larger_begin] - pre.pos[r]);
-  result.exact = resolved == ii_count;
-  result.sum = result.exact ? accept_sum + accepted_sum
+  const size_t r = se + resolved;
+  result.sum_lower = accept_sum + sink.sum() + (pre.neg[lb] - pre.neg[r]);
+  result.sum_upper = accept_sum + sink.sum() + (pre.pos[lb] - pre.pos[r]);
+  result.exact = resolved == ii;
+  result.sum = result.exact ? accept_sum + sink.sum()
                             : 0.5 * result.sum_lower + 0.5 * result.sum_upper;
   if (result.exact) {
     result.sum_lower = result.sum_upper = result.sum;
@@ -1004,79 +866,44 @@ Result<TopKResult> PlanarIndex::TopK(const NormalizedQuery& q,
 
 Result<TopKResult> PlanarIndex::TopK(const NormalizedQuery& q, size_t k,
                                      const Deadline& deadline) const {
-  if (!q.IsFinite()) {
-    return Status::InvalidArgument("query parameters must be finite");
-  }
-  if (!CanServe(q)) {
-    return Status::FailedPrecondition(
-        "query octant is incompatible with this index");
-  }
-  if (q.IsDegenerate()) {
+  PLANAR_ASSIGN_OR_RETURN(const QueryPlan plan, Plan(q));
+  return ServeTopK(q, plan, k, deadline);
+}
+
+Result<TopKResult> PlanarIndex::ServeTopK(const NormalizedQuery& q,
+                                          const QueryPlan& plan, size_t k,
+                                          const Deadline& deadline) const {
+  if (plan.degenerate) {
     return Status::InvalidArgument(
         "top-k distance is undefined for an all-zero query normal");
   }
   if (k == 0) {
     return Status::InvalidArgument("k must be positive");
   }
-  PLANAR_CHECK_EQ(phi_->size(), size());
-  return RunTopK(q, k, deadline);
-}
-
-Result<TopKResult> PlanarIndex::RunTopK(const NormalizedQuery& q, size_t k,
-                                        const Deadline& deadline) const {
-  const size_t n = size();
-  TopKResult result;
-  result.stats.num_points = n;
-
-  const Prepared p = Prepare(q);
-  const size_t smaller_end = RankLessEqual(p.low_cut);
-  const size_t larger_begin = RankLessEqual(p.high_cut);
+  const Prepared& p = plan.p;
+  const bool le = plan.le;
   const double norm_a = q.NormA();
-  const bool le = q.cmp == Comparison::kLessEqual;
+  TopKResult result;
+  result.stats.num_points = plan.n;
+  const Status deadline_status = Status::DeadlineExceeded(
+      "top-k query exceeded its deadline during candidate evaluation");
 
   // The heap can never hold more than n entries, so a huge k does not
   // reserve unbounded storage.
-  TopKBuffer buffer(k, n);
+  TopKBuffer buffer(k, plan.n);
 
-  // Phase 1: verify the intermediate interval (Algorithm 2, lines 3-7)
-  // with the batched kernels — per block: one deadline poll, one batched
-  // residual computation, then the (branchy, heap-bound) insert loop over
-  // the few matches. With a usable mixed plan the f32 mirror prunes the
-  // sure rejects first and the exact residuals are gathered only for the
-  // remaining rows; a sure reject's residual fails the match predicate by
-  // definition of the band, so the inserted (id, distance) sequence — and
-  // therefore the heap state and final neighbors — is identical.
-  const kernels::DotOps& ops = kernels::Ops();
+  // Phase 1: verify the intermediate interval (Algorithm 2, lines 3-7).
+  // With a usable mixed plan the driver prunes the sure rejects first; a
+  // sure reject's residual fails the match predicate by definition of the
+  // band, so the inserted (id, distance) sequence — and therefore the heap
+  // state and final neighbors — is identical.
   const MixedQueryPlan mixed = MixedPlanFor(q);
-  const double* rows = phi_->data();
-  // f32-ok: mirror base pointer for the mixed top-k filter.
-  const float* rows32 = phi_->f32_data();
-  const size_t stride = phi_->dim();
-  const size_t dim = q.a.size();
-  const size_t ii_count = larger_begin - smaller_end;
-  double residuals[kernels::kBlockRows];
-  // f32-ok: mirror residual block for the mixed top-k filter.
-  float res32[kernels::kBlockRows];
-  uint32_t possible[kernels::kBlockRows];
-
-  auto consider_block = [&](const uint32_t* block_ids, size_t blk) {
-    const uint32_t* eval_ids = block_ids;
-    size_t eval_count = blk;
-    if (mixed.usable) {
-      kernels::OpsF32().dot_gather(mixed.a32.data(), dim, rows32, stride,
-                                   block_ids, blk, mixed.bias32, res32);
-      eval_count = MixedFilterPossible(mixed, res32, block_ids, blk, possible);
-      eval_ids = possible;
-    }
-    ops.dot_gather(q.a.data(), dim, rows, stride, eval_ids, eval_count, -q.b,
-                   residuals);
-    for (size_t i = 0; i < eval_count; ++i) {
-      const double residual = residuals[i];
-      const bool match = le ? residual <= 0.0 : residual >= 0.0;
-      if (match) buffer.Insert(eval_ids[i], std::fabs(residual) / norm_a);
-    }
-    result.stats.verified_intermediate += blk;
-  };
+  TopKSink sink(le, norm_a, &buffer);
+  if (!Drive(q, mixed, plan.smaller_end, plan.larger_begin,
+             [&deadline] { return deadline.Expired(); }, &sink)) {
+    return deadline_status;
+  }
+  result.stats.verified_intermediate = sink.verified();
 
   // Lower-bound distance of a directly-accepted point with the given key
   // (Definition 5 / Claim 3, generalized for zero-parameter axes).
@@ -1086,17 +913,6 @@ Result<TopKResult> PlanarIndex::RunTopK(const NormalizedQuery& q, size_t k,
            : p.rmin * (key - p.c0max) + p.emin - p.b_prime;
     return std::max(0.0, raw) / norm_a;
   };
-
-  // Deadline poll for the accept-region walk (phase 2): one clock read per
-  // kDeadlineCheckInterval rows, including the first, so an expired
-  // request evaluates nothing.
-  size_t deadline_step = 0;
-  auto past_deadline = [&]() {
-    return (deadline_step++ & (kDeadlineCheckInterval - 1)) == 0 &&
-           deadline.Expired();
-  };
-  const Status deadline_status = Status::DeadlineExceeded(
-      "top-k query exceeded its deadline during candidate evaluation");
 
   // Accept-region termination check. With the f32 key mirror available,
   // the exact key is bracketed by [k32 - d, k32 + d] (see kKeyBracketRel):
@@ -1110,103 +926,46 @@ Result<TopKResult> PlanarIndex::RunTopK(const NormalizedQuery& q, size_t k,
   // identical to the pure-f64 walk by the monotonicity argument.
   const bool keys32 =
       mixed.usable && !keys_.empty() && keys_f32_.size() == keys_.size();
-  auto terminate_at = [&](size_t r) {
+  auto terminate_at = [&](const RankCursor& cursor) {
     if (!buffer.full()) return false;
     const double worst = buffer.WorstDistance();
     if (keys32) {
-      const double k32 = static_cast<double>(keys_f32_[r]);
+      const double k32 = static_cast<double>(keys_f32_[cursor.rank()]);
       if (std::isfinite(k32)) {
         const double d = kKeyBracketRel * std::fabs(k32) + kKeyBracketAbs;
-        const double lb_term =
-            lower_bound_distance(le ? k32 + d : k32 - d);
-        if (lb_term > worst) return true;
-        const double lb_cont =
-            lower_bound_distance(le ? k32 - d : k32 + d);
-        if (lb_cont <= worst) return false;
+        if (lower_bound_distance(le ? k32 + d : k32 - d) > worst) return true;
+        if (lower_bound_distance(le ? k32 - d : k32 + d) <= worst) {
+          return false;
+        }
       }
     }
-    return lower_bound_distance(keys_[r]) > worst;
+    return lower_bound_distance(cursor.key()) > worst;
   };
 
-  if (options_.backend == PlanarIndexOptions::Backend::kSortedArray) {
-    for (size_t off = 0; off < ii_count; off += kernels::kBlockRows) {
-      if (deadline.Expired()) return deadline_status;
-      const size_t blk = std::min(kernels::kBlockRows, ii_count - off);
-      consider_block(ids_.data() + smaller_end + off, blk);
-    }
-    // Phase 2: walk the directly-accepted region from the query hyperplane
-    // outward, pruning with the lower-bound distance (lines 8-14).
-    if (le) {
-      for (size_t r = smaller_end; r-- > 0;) {
-        if (past_deadline()) return deadline_status;
-        if (terminate_at(r)) {
-          result.stats.early_terminated = true;
-          break;
-        }
-        const uint32_t id = ids_[r];
-        buffer.Insert(id,
-                      std::fabs(ResidualNormalized(q, phi_->row(id))) / norm_a);
-        ++result.stats.scanned_accept_region;
+  // Phase 2: walk the directly-accepted region from the query hyperplane
+  // outward — down from the SI boundary for <=, up from the LI boundary
+  // for >= — pruning with the lower-bound distance (lines 8-14). One
+  // clock read per kDeadlineCheckInterval rows, including the first, so
+  // an expired request evaluates nothing.
+  const size_t steps = plan.accepted();
+  if (steps > 0) {
+    RankCursor cursor(*this, le ? plan.smaller_end - 1 : plan.larger_begin);
+    for (size_t i = 0; i < steps; ++i) {
+      if ((i & (kDeadlineCheckInterval - 1)) == 0 && deadline.Expired()) {
+        return deadline_status;
       }
-    } else {
-      for (size_t r = larger_begin; r < n; ++r) {
-        if (past_deadline()) return deadline_status;
-        if (terminate_at(r)) {
-          result.stats.early_terminated = true;
-          break;
-        }
-        const uint32_t id = ids_[r];
-        buffer.Insert(id,
-                      std::fabs(ResidualNormalized(q, phi_->row(id))) / norm_a);
-        ++result.stats.scanned_accept_region;
+      if (terminate_at(cursor)) {
+        result.stats.early_terminated = true;
+        break;
       }
-    }
-  } else {
-    // B+-tree: gather one block of candidate ids through the leaf cursor,
-    // then verify the block with the same batched kernels.
-    OrderStatisticBTree::Iterator it = tree_.IteratorAt(smaller_end);
-    uint32_t block_ids[kernels::kBlockRows];
-    for (size_t off = 0; off < ii_count; off += kernels::kBlockRows) {
-      if (deadline.Expired()) return deadline_status;
-      const size_t blk = std::min(kernels::kBlockRows, ii_count - off);
-      for (size_t i = 0; i < blk; ++i, it.Next()) {
-        block_ids[i] = it.entry().value;
-      }
-      consider_block(block_ids, blk);
-    }
-    if (le) {
-      if (smaller_end > 0) {
-        it = tree_.IteratorAt(smaller_end - 1);
-        while (it.Valid()) {
-          if (past_deadline()) return deadline_status;
-          const OrderStatisticBTree::Entry e = it.entry();
-          if (buffer.full() &&
-              lower_bound_distance(e.key) > buffer.WorstDistance()) {
-            result.stats.early_terminated = true;
-            break;
-          }
-          buffer.Insert(
-              e.value,
-              std::fabs(ResidualNormalized(q, phi_->row(e.value))) / norm_a);
-          ++result.stats.scanned_accept_region;
-          it.Prev();
-        }
-      }
-    } else {
-      it = tree_.IteratorAt(larger_begin);
-      while (it.Valid()) {
-        if (past_deadline()) return deadline_status;
-        const OrderStatisticBTree::Entry e = it.entry();
-        if (buffer.full() &&
-            lower_bound_distance(e.key) > buffer.WorstDistance()) {
-          result.stats.early_terminated = true;
-          break;
-        }
-        buffer.Insert(
-            e.value,
-            std::fabs(ResidualNormalized(q, phi_->row(e.value))) / norm_a);
-        ++result.stats.scanned_accept_region;
-        it.Next();
+      const uint32_t id = cursor.id();
+      buffer.Insert(id,
+                    std::fabs(ResidualNormalized(q, phi_->row(id))) / norm_a);
+      ++result.stats.scanned_accept_region;
+      if (le) {
+        cursor.Prev();
+      } else {
+        cursor.Next();
       }
     }
   }
@@ -1217,25 +976,30 @@ Result<TopKResult> PlanarIndex::RunTopK(const NormalizedQuery& q, size_t k,
 
 PlanarIndex::Explanation PlanarIndex::Explain(
     const NormalizedQuery& q) const {
+  const Result<QueryPlan> plan = Plan(q);
+  if (plan.ok()) return ExplainPlan(*plan);
   Explanation e;
   e.num_points = size();
   e.cmp = q.cmp;
-  e.can_serve = q.IsFinite() && CanServe(q);
-  if (!e.can_serve) return e;
-  if (q.IsDegenerate()) {
-    e.degenerate = true;
-    e.smaller_end = e.larger_begin = size();
-    return e;
-  }
-  const Prepared p = Prepare(q);
-  e.b_prime = p.b_prime;
-  e.rmin = p.rmin;
-  e.rmax = p.rmax;
-  e.excluded_axes = p.excluded_axes;
-  e.low_cut = p.low_cut;
-  e.high_cut = p.high_cut;
-  e.smaller_end = RankLessEqual(p.low_cut);
-  e.larger_begin = RankLessEqual(p.high_cut);
+  return e;
+}
+
+PlanarIndex::Explanation PlanarIndex::ExplainPlan(
+    const QueryPlan& plan) const {
+  Explanation e;
+  e.can_serve = true;
+  e.degenerate = plan.degenerate;
+  e.num_points = plan.n;
+  e.cmp = plan.le ? Comparison::kLessEqual : Comparison::kGreaterEqual;
+  e.smaller_end = plan.smaller_end;
+  e.larger_begin = plan.larger_begin;
+  if (plan.degenerate) return e;
+  e.b_prime = plan.p.b_prime;
+  e.rmin = plan.p.rmin;
+  e.rmax = plan.p.rmax;
+  e.excluded_axes = plan.p.excluded_axes;
+  e.low_cut = plan.p.low_cut;
+  e.high_cut = plan.p.high_cut;
   return e;
 }
 
@@ -1489,7 +1253,6 @@ Result<PlanarIndex> PlanarIndex::CloneFor(const PhiMatrix* phi) const {
   copy.ids_ = ids_;
   copy.eytz_ = eytz_;
   copy.keys_f32_ = keys_f32_;
-  copy.cdf_ = cdf_;
   // agg-ok: wholesale copy of prefix arrays built by the canonical
   // helper; no values are recomputed.
   copy.payload_prefix_ = payload_prefix_;
@@ -1504,7 +1267,6 @@ size_t PlanarIndex::MemoryUsage() const {
   // f32-ok: key-mirror footprint accounting.
   total += keys_f32_.capacity() * sizeof(float);
   total += eytz_.MemoryUsage();
-  total += cdf_.MemoryUsage();
   total += payload_prefix_.MemoryUsage();
   total += key_of_row_.capacity() * sizeof(double);
   total += (normal_.capacity() + signed_normal_.capacity()) * sizeof(double);

@@ -21,7 +21,6 @@
 #define PLANAR_CORE_PLANAR_INDEX_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -37,7 +36,6 @@
 #include "core/topk.h"
 #include "core/translation.h"
 #include "geometry/octant.h"
-#include "learn/learned_cdf.h"
 
 namespace planar {
 
@@ -85,16 +83,15 @@ struct CountTolerance {
 };
 
 /// Result of a COUNT inequality query. The true count always lies in
-/// [lower, upper]; `estimate` is a point estimate inside those bounds
-/// (the exact count when `exact`). At tolerance 0 the result is exact
-/// and bit-equal to ScanInequality(...).ids.size().
+/// [lower, upper]; `estimate` is the bound midpoint (the exact count when
+/// `exact`). At tolerance 0 the result is exact and bit-equal to
+/// ScanInequality(...).ids.size().
 struct CountResult {
   size_t lower = 0;
   size_t upper = 0;
   size_t estimate = 0;
-  bool exact = false;            ///< lower == upper (bounds met or refined)
-  bool refined = false;          ///< the II was (partially) streamed
-  bool model_estimated = false;  ///< estimate came from the learned CDF
+  bool exact = false;    ///< lower == upper (bounds met or refined)
+  bool refined = false;  ///< the II was (partially) streamed
   QueryStats stats;
 
   size_t gap() const { return upper - lower; }
@@ -192,17 +189,6 @@ struct PlanarIndexOptions {
   /// Not serialized: load paths rebuild mirrors from the stored doubles.
   bool mixed_precision = false;
 
-  /// Learned key->rank CDF sidecar (DESIGN.md section 5k): built at
-  /// every RefreshSearchLayout over the sorted keys and used for
-  /// predict-then-probe boundary search (probe a +/-(max_error + 2)
-  /// window, validate against the flat key array, fall back to the
-  /// Eytzinger descent on any mismatch — answers are identical either
-  /// way) and for model-based COUNT estimates between the sound
-  /// [SI, LI] bounds. A fit whose exact max error exceeds
-  /// kLearnedCdfMaxErrorBudget is discarded. Never serialized; rebuilt
-  /// on load like the Eytzinger layout.
-  bool learned_cdf = true;
-
   /// Payload column for SUM/AVG aggregate queries: an index into the phi
   /// matrix columns, or -1 (the default) for no payload. When set, every
   /// RefreshSearchLayout rebuilds rank-ordered prefix-aggregate arrays
@@ -229,12 +215,6 @@ inline constexpr size_t kParallelVerifyMinRows = 8192;
 /// Smallest matrix worth building with threads; below this, spawn/join
 /// costs more than the key computation and sort combined.
 inline constexpr size_t kParallelBuildMinRows = 16384;
-
-/// Largest learned-CDF fit error worth probing: the probe window is
-/// 2 * (max_error + 2) keys, so past this budget the windowed
-/// std::upper_bound stops beating the full Eytzinger descent and the fit
-/// is discarded at build (the fallback contract of DESIGN.md 5k).
-inline constexpr size_t kLearnedCdfMaxErrorBudget = 512;
 
 /// One Planar index over an externally-owned phi matrix.
 ///
@@ -322,11 +302,6 @@ class PlanarIndex {
   /// True when a payload column is configured and its prefix aggregates
   /// are live (sorted-array backend).
   bool has_payload() const { return !payload_prefix_.empty(); }
-
-  /// The learned-CDF sidecar (empty when options_.learned_cdf is off,
-  /// the backend is the B+-tree, the key array is too small, or the fit
-  /// blew the error budget). Exposed for tests and benches.
-  const LearnedCdf& learned_cdf() const { return cdf_; }
 
   /// Problem 2: the k satisfying points nearest to the query hyperplane.
   Result<TopKResult> TopK(const ScalarProductQuery& q, size_t k) const;
@@ -475,10 +450,38 @@ class PlanarIndex {
     bool all_axes_zero = false;
   };
 
+  // One query's plan (Algorithm 1): the SI/II/LI rank split from the two
+  // boundary searches and the rank range accepted without evaluation.
+  // Built once by Plan() and handed to whichever query kind executes it
+  // (PlanarIndexSet routing reuses the plan its selector computed).
+  struct QueryPlan {
+    Prepared p;               // unset when degenerate
+    bool degenerate = false;  // all-zero query normal: constant answer
+    bool le = true;
+    size_t n = 0;
+    size_t smaller_end = 0;   // |SI|
+    size_t larger_begin = 0;  // n - |LI|
+    size_t accept_begin = 0;  // ranks accepted outright
+    size_t accept_end = 0;
+    size_t rejected = 0;      // rows rejected outright
+
+    size_t ii() const { return larger_begin - smaller_end; }
+    size_t accepted() const { return accept_end - accept_begin; }
+    // num_points and the outright accept/reject split.
+    QueryStats Stats() const;
+  };
+
+  // Reads (key, id) entries in rank order from either backend.
+  class RankCursor;
+
+  friend class PlanarIndexSet;
+
   PlanarIndex() = default;
 
   Prepared Prepare(const NormalizedQuery& q) const;
-  void ComputeKey(uint32_t row, double* key) const;
+  // Validates `q` (finite, octant-compatible) and runs the two boundary
+  // searches.
+  Result<QueryPlan> Plan(const NormalizedQuery& q) const;
   double RawKey(const double* phi_row) const;
   size_t RankLessEqual(double key) const;
   void EraseKey(double key, uint32_t row);
@@ -486,51 +489,35 @@ class PlanarIndex {
   // Rebuilds the Eytzinger sidecar from keys_ after any mutation of the
   // sorted-array backend (no-op on the B+-tree backend).
   void RefreshSearchLayout();
-  Result<InequalityResult> RunInequality(const NormalizedQuery& q,
+
+  // Execution of an already-built plan, one per query kind.
+  Result<InequalityResult> ServeInequality(const NormalizedQuery& q,
+                                           const QueryPlan& plan,
+                                           const Deadline& deadline) const;
+  Result<CountResult> ServeCount(const NormalizedQuery& q,
+                                 const QueryPlan& plan,
+                                 const CountTolerance& tolerance,
+                                 const Deadline& deadline) const;
+  Result<AggregateResult> ServeAggregate(const NormalizedQuery& q,
+                                         const QueryPlan& plan,
+                                         const CountTolerance& tolerance,
                                          const Deadline& deadline) const;
-  Result<CountResult> RunCount(const NormalizedQuery& q,
-                               const CountTolerance& tolerance,
-                               const Deadline& deadline) const;
-  Result<AggregateResult> RunAggregate(const NormalizedQuery& q,
-                                       const CountTolerance& tolerance,
-                                       const Deadline& deadline) const;
-  // Streams `count` candidate ids through the counting verify blocks
-  // (f64 or mixed, one deadline poll per block) without materializing
-  // accepted ids. `accepted`/`resolved` accumulate; when `payload` is
-  // non-null, `accepted_sum` accumulates the accepted rows' payload in
-  // canonical blocked summation. `stop` is polled at block boundaries
-  // with the resolved-so-far count and may end the stream early (bounds
-  // already within tolerance). Returns false iff the deadline expired.
-  bool CountCandidates(const NormalizedQuery& q, const MixedQueryPlan& mixed,
-                       const uint32_t* ids, size_t count,
-                       const double* payload, size_t payload_stride,
-                       const Deadline& deadline,
-                       const std::function<bool(size_t)>& stop,
-                       size_t* accepted, size_t* resolved,
-                       double* accepted_sum) const;
-  Result<TopKResult> RunTopK(const NormalizedQuery& q, size_t k,
-                             const Deadline& deadline) const;
-  // Verifies the candidate ids (block-batched kernels, one deadline poll
-  // per block) and appends accepted ids to *out in candidate order.
-  // `mixed` is the per-query mixed-precision plan (unusable = pure f64).
-  // Returns false iff the deadline expired mid-verification.
-  bool VerifyCandidatesSerial(const NormalizedQuery& q,
-                              const MixedQueryPlan& mixed, const uint32_t* ids,
-                              size_t count, const Deadline& deadline,
-                              std::vector<uint32_t>* out) const;
-  // Same contract, sharded across ParallelFor with per-shard buffers
-  // merged in shard order (deterministic: identical output to serial).
-  bool VerifyCandidatesParallel(const NormalizedQuery& q,
-                                const MixedQueryPlan& mixed,
-                                const uint32_t* ids, size_t count,
-                                size_t threads, const Deadline& deadline,
-                                std::vector<uint32_t>* out) const;
-  // Dispatches between the two based on options_ and count; for the
-  // B+-tree backend the caller materializes candidate ids first.
-  bool VerifyCandidates(const NormalizedQuery& q, const MixedQueryPlan& mixed,
-                        const uint32_t* ids, size_t count,
-                        const Deadline& deadline,
-                        std::vector<uint32_t>* out) const;
+  Result<TopKResult> ServeTopK(const NormalizedQuery& q, const QueryPlan& plan,
+                               size_t k, const Deadline& deadline) const;
+  Explanation ExplainPlan(const QueryPlan& plan) const;
+
+  // The block driver: streams the II rows of ranks [begin, end) to `sink`
+  // one kernels::kBlockRows block at a time, polling `cancelled` once per
+  // block and sink->Done() before it. Returns false iff cancelled.
+  template <typename Sink, typename CancelFn>
+  bool Drive(const NormalizedQuery& q, const MixedQueryPlan& mixed,
+             size_t begin, size_t end, const CancelFn& cancelled,
+             Sink* sink) const;
+  // Drive into an id sink, split across parallel_verify_threads chunks
+  // when the II is large enough. Appends accepted ids to *out in rank
+  // order; returns false iff the deadline expired.
+  bool VerifyIds(const NormalizedQuery& q, const QueryPlan& plan,
+                 const Deadline& deadline, std::vector<uint32_t>* out) const;
   // The mixed-precision plan for `q`, or an unusable plan when
   // options_.mixed_precision is off or MakeMixedPlan declines.
   MixedQueryPlan MixedPlanFor(const NormalizedQuery& q) const;
@@ -554,11 +541,6 @@ class PlanarIndex {
   // each exact key with it and touches keys_ only when the bracket is
   // inconclusive.
   std::vector<float> keys_f32_;
-  // Learned key->rank CDF sidecar (see PlanarIndexOptions::learned_cdf):
-  // predict-then-probe boundary search + model-based count estimates.
-  // Rebuilt with the search layout, never serialized, carries no
-  // authority (every probe is validated, every estimate bounded).
-  LearnedCdf cdf_;
   // Rank-ordered prefix aggregates over the payload column (empty unless
   // options_.payload_column >= 0 on the sorted-array backend). Rebuilt
   // with the search layout by the canonical helper (core/aggregate.h).

@@ -62,6 +62,7 @@ class ByteReader {
   bool ReadValue(T* out) {
     return Read(out, sizeof(T));
   }
+  size_t remaining() const { return remaining_; }
 
  private:
   const unsigned char* data_;
@@ -137,8 +138,12 @@ Result<PlanarIndexSet> ParsePayload(ByteReader reader,
   OptionsRecord options_record;
   uint64_t dim = 0;
   uint64_t n = 0;
+  // The octant of every index is stored as a 64-bit sign mask, so no
+  // writer produces dim > 64. The row count is checked against the bytes
+  // actually present before anything is allocated for it.
   if (!reader.ReadValue(&options_record) || !reader.ReadValue(&dim) ||
-      !reader.ReadValue(&n) || dim == 0 || dim > 1u << 20) {
+      !reader.ReadValue(&n) || dim == 0 || dim > 64 ||
+      n > reader.remaining() / (dim * sizeof(double))) {
     return Status::InvalidArgument("corrupt header in '" + path + "'");
   }
   const IndexSetOptions options = options_override != nullptr

@@ -35,8 +35,30 @@ CountTolerance SplitTolerance(const CountTolerance& tolerance, size_t shards) {
   return split;
 }
 
-/// Sums per-shard QueryStats into `*merged` and returns whether every
-/// shard reported the same serving index as shard 0.
+/// II rows a shard evaluated for one query (the rows-verified counter).
+size_t RowsVerified(const InequalityResult& r) { return r.stats.verified; }
+size_t RowsVerified(const CountResult& r) { return r.stats.verified; }
+size_t RowsVerified(const AggregateResult& r) {
+  return r.count.stats.verified;
+}
+size_t RowsVerified(const TopKResult& r) {
+  return r.stats.verified_intermediate;
+}
+
+/// Rebases a shard's ids by its row offset (shard 0's offset is 0: no
+/// pass) and sorts them into the canonical ascending-id order (see
+/// header): the monolithic rank order is index-dependent and shards
+/// select independently, so ascending-id is the one merge order every
+/// shard count agrees on.
+void Canonicalize(uint32_t offset, std::vector<uint32_t>* ids) {
+  if (offset != 0) {
+    for (uint32_t& id : *ids) id += offset;
+  }
+  std::sort(ids->begin(), ids->end());
+}
+
+/// Sums per-shard QueryStats into `*merged` and clears `*common_index`
+/// when a shard's serving index differs from shard 0's.
 void MergeQueryStats(const QueryStats& part, const QueryStats& first,
                      QueryStats* merged, bool* common_index) {
   merged->num_points += part.num_points;
@@ -49,54 +71,46 @@ void MergeQueryStats(const QueryStats& part, const QueryStats& first,
 
 /// Folds per-shard count results into one: bounds, estimates, and stats
 /// sum (shards partition the rows).
-CountResult MergeCount(
-    size_t shards,
-    const std::function<const CountResult&(size_t)>& result_at) {
+void MergeCountInto(const CountResult& part, const CountResult& first,
+                    CountResult* merged, bool* common_index) {
+  merged->lower += part.lower;
+  merged->upper += part.upper;
+  merged->estimate += part.estimate;
+  merged->exact &= part.exact;
+  merged->refined |= part.refined;
+  MergeQueryStats(part.stats, first.stats, &merged->stats, common_index);
+}
+
+CountResult MergeCount(const std::vector<Result<CountResult>>& partial) {
   CountResult merged;
   merged.exact = true;
   bool common_index = true;
-  for (size_t s = 0; s < shards; ++s) {
-    const CountResult& part = result_at(s);
-    merged.lower += part.lower;
-    merged.upper += part.upper;
-    merged.estimate += part.estimate;
-    merged.exact &= part.exact;
-    merged.refined |= part.refined;
-    merged.model_estimated |= part.model_estimated;
-    MergeQueryStats(part.stats, result_at(0).stats, &merged.stats,
-                    &common_index);
+  for (const Result<CountResult>& part : partial) {
+    MergeCountInto(*part, *partial[0], &merged, &common_index);
   }
-  merged.stats.index_used = common_index ? result_at(0).stats.index_used : -1;
+  merged.stats.index_used = common_index ? partial[0]->stats.index_used : -1;
   return merged;
 }
 
 /// Folds per-shard aggregate results into one (sum bounds and the count
 /// piggyback both sum across the row partition).
 AggregateResult MergeAggregate(
-    size_t shards,
-    const std::function<const AggregateResult&(size_t)>& result_at) {
+    const std::vector<Result<AggregateResult>>& partial) {
   AggregateResult merged;
   merged.exact = true;
   merged.count.exact = true;
   bool common_index = true;
-  for (size_t s = 0; s < shards; ++s) {
-    const AggregateResult& part = result_at(s);
-    merged.sum_lower += part.sum_lower;
-    merged.sum_upper += part.sum_upper;
-    merged.sum += part.sum;
-    merged.exact &= part.exact;
-    merged.refined |= part.refined;
-    merged.count.lower += part.count.lower;
-    merged.count.upper += part.count.upper;
-    merged.count.estimate += part.count.estimate;
-    merged.count.exact &= part.count.exact;
-    merged.count.refined |= part.count.refined;
-    merged.count.model_estimated |= part.count.model_estimated;
-    MergeQueryStats(part.count.stats, result_at(0).count.stats,
-                    &merged.count.stats, &common_index);
+  for (const Result<AggregateResult>& part : partial) {
+    merged.sum_lower += part->sum_lower;
+    merged.sum_upper += part->sum_upper;
+    merged.sum += part->sum;
+    merged.exact &= part->exact;
+    merged.refined |= part->refined;
+    MergeCountInto(part->count, partial[0]->count, &merged.count,
+                   &common_index);
   }
   merged.count.stats.index_used =
-      common_index ? result_at(0).count.stats.index_used : -1;
+      common_index ? partial[0]->count.stats.index_used : -1;
   return merged;
 }
 
@@ -119,12 +133,11 @@ Status MergeStatuses(size_t shards, const ResultAt& result_at,
   return Status::OK();
 }
 
-/// Folds per-shard inequality results (already rebased and sorted) into
-/// one: shard-order id concatenation (globally ascending, the shards
-/// cover disjoint ascending ranges) and per-shard stat sums.
-InequalityResult MergeInequality(
-    size_t shards,
-    const std::function<const InequalityResult&(size_t)>& result_at) {
+/// Folds per-shard inequality results (already canonicalized) into one:
+/// shard-order id concatenation (globally ascending, the shards cover
+/// disjoint ascending ranges) and per-shard stat sums.
+template <typename ResultAt>
+InequalityResult MergeInequality(size_t shards, const ResultAt& result_at) {
   InequalityResult merged;
   size_t total = 0;
   for (size_t s = 0; s < shards; ++s) total += result_at(s).ids.size();
@@ -133,14 +146,8 @@ InequalityResult MergeInequality(
   for (size_t s = 0; s < shards; ++s) {
     const InequalityResult& part = result_at(s);
     merged.ids.insert(merged.ids.end(), part.ids.begin(), part.ids.end());
-    merged.stats.num_points += part.stats.num_points;
-    merged.stats.accepted_directly += part.stats.accepted_directly;
-    merged.stats.rejected_directly += part.stats.rejected_directly;
-    merged.stats.verified += part.stats.verified;
-    merged.stats.result_size += part.stats.result_size;
-    if (part.stats.index_used != result_at(0).stats.index_used) {
-      common_index = false;
-    }
+    MergeQueryStats(part.stats, result_at(0).stats, &merged.stats,
+                    &common_index);
   }
   merged.stats.index_used =
       common_index ? result_at(0).stats.index_used : -1;
@@ -218,30 +225,33 @@ Result<ShardedIndexSet> ShardedIndexSet::Build(
 
 size_t ShardedIndexSet::FanoutWidth() const { return options_.query_threads; }
 
-Result<InequalityResult> ShardedIndexSet::Inequality(
-    const ScalarProductQuery& q, const Deadline& deadline) const {
+template <typename R, typename Call, typename Merge>
+Result<R> ShardedIndexSet::FanOut(const char* deadline_msg, const Call& call,
+                                  const Merge& merge) const {
   const size_t shards = shards_.size();
-  // Single shard: no fan-out to run or merge — execute inline, skipping
-  // the partial-result scaffolding, so the 1-shard configuration costs
-  // the same as the monolithic path it wraps (plus the canonical sort).
-  if (shards == 1) {
-    Result<InequalityResult> result = shards_[0].Inequality(q, deadline);
+  auto run = [&](size_t s) {
+    Result<R> result = call(s);
     if (result.ok()) {
       // relaxed-ok: monotone monitoring counter (see header); nothing
       // orders on it.
-      rows_verified_[0].fetch_add(result.value().stats.verified,
+      rows_verified_[s].fetch_add(RowsVerified(result.value()),
                                   std::memory_order_relaxed);
-      std::vector<uint32_t>& ids = result.value().ids;
-      std::sort(ids.begin(), ids.end());
-      return result;
     }
-    if (result.status().code() == StatusCode::kDeadlineExceeded) {
-      return Status::DeadlineExceeded(kInequalityDeadlineMsg);
+    return result;
+  };
+  // Single shard: no fan-out to run or merge — execute inline, skipping
+  // the partial-result scaffolding, so the 1-shard configuration costs
+  // the same as the monolithic path it wraps.
+  if (shards == 1) {
+    Result<R> result = run(0);
+    if (!result.ok() &&
+        result.status().code() == StatusCode::kDeadlineExceeded) {
+      return Status::DeadlineExceeded(deadline_msg);
     }
     return result;
   }
-  std::vector<Result<InequalityResult>> partial(
-      shards, Status::Internal("shard not executed"));
+  std::vector<Result<R>> partial(shards,
+                                 Status::Internal("shard not executed"));
   // First-expiry cancellation: the first shard whose verification loop
   // observes the deadline raises the flag; sibling shards still queued
   // behind busy workers short-circuit before touching their index.
@@ -255,26 +265,12 @@ Result<InequalityResult> ShardedIndexSet::Inequality(
         // poll; the merge below reads `partial` after ParallelFor's
         // join, which is the authoritative synchronization.
         if (expired.load(std::memory_order_relaxed)) {
-          partial[s] = Status::DeadlineExceeded(kInequalityDeadlineMsg);
+          partial[s] = Status::DeadlineExceeded(deadline_msg);
           return;
         }
-        Result<InequalityResult> result = shards_[s].Inequality(q, deadline);
-        if (result.ok()) {
-          // relaxed-ok: monotone monitoring counter (see header);
-          // nothing orders on it.
-          rows_verified_[s].fetch_add(result.value().stats.verified,
-                                      std::memory_order_relaxed);
-          std::vector<uint32_t>& ids = result.value().ids;
-          // Shard 0's offset is 0: skip the no-op rebase pass.
-          if (offsets_[s] != 0) {
-            for (uint32_t& id : ids) id += offsets_[s];
-          }
-          // Canonical ascending-id order per shard (see header): the
-          // monolithic rank order is index-dependent and shards select
-          // independently, so ascending-id is the one merge order every
-          // shard count agrees on.
-          std::sort(ids.begin(), ids.end());
-        } else if (result.status().code() == StatusCode::kDeadlineExceeded) {
+        Result<R> result = run(s);
+        if (!result.ok() &&
+            result.status().code() == StatusCode::kDeadlineExceeded) {
           // relaxed-ok: see the flag's declaration above.
           expired.store(true, std::memory_order_relaxed);
         }
@@ -282,132 +278,53 @@ Result<InequalityResult> ShardedIndexSet::Inequality(
       },
       FanoutWidth());
   const Status merged_status = MergeStatuses(
-      shards, [&](size_t s) -> const Result<InequalityResult>& {
-        return partial[s];
-      },
-      kInequalityDeadlineMsg);
+      shards, [&](size_t s) -> const Result<R>& { return partial[s]; },
+      deadline_msg);
   if (!merged_status.ok()) return merged_status;
-  return MergeInequality(shards, [&](size_t s) -> const InequalityResult& {
-    return partial[s].value();
-  });
+  return merge(partial);
+}
+
+Result<InequalityResult> ShardedIndexSet::Inequality(
+    const ScalarProductQuery& q, const Deadline& deadline) const {
+  return FanOut<InequalityResult>(
+      kInequalityDeadlineMsg,
+      [&](size_t s) {
+        Result<InequalityResult> result = shards_[s].Inequality(q, deadline);
+        if (result.ok()) Canonicalize(offsets_[s], &result->ids);
+        return result;
+      },
+      [](const std::vector<Result<InequalityResult>>& partial) {
+        return MergeInequality(
+            partial.size(), [&](size_t s) -> const InequalityResult& {
+              return partial[s].value();
+            });
+      });
 }
 
 Result<CountResult> ShardedIndexSet::CountInequality(
     const ScalarProductQuery& q, const CountTolerance& tolerance,
     const Deadline& deadline) const {
-  const size_t shards = shards_.size();
-  // Single shard: no fan-out to run or merge — execute inline with the
-  // caller's whole tolerance (see Inequality).
-  if (shards == 1) {
-    Result<CountResult> result =
-        shards_[0].CountInequality(q, tolerance, deadline);
-    if (result.ok()) {
-      // relaxed-ok: monotone monitoring counter (see header); nothing
-      // orders on it.
-      rows_verified_[0].fetch_add(result.value().stats.verified,
-                                  std::memory_order_relaxed);
-      return result;
-    }
-    if (result.status().code() == StatusCode::kDeadlineExceeded) {
-      return Status::DeadlineExceeded(kCountDeadlineMsg);
-    }
-    return result;
-  }
-  const CountTolerance shard_tolerance = SplitTolerance(tolerance, shards);
-  std::vector<Result<CountResult>> partial(
-      shards, Status::Internal("shard not executed"));
-  // First-expiry cancellation, same protocol as Inequality above.
-  std::atomic<bool> expired(false);
-  ParallelFor(
-      shards,
+  const CountTolerance shard_tolerance =
+      SplitTolerance(tolerance, shards_.size());
+  return FanOut<CountResult>(
+      kCountDeadlineMsg,
       [&](size_t s) {
-        // relaxed-ok: advisory fast-skip flag — a shard that misses a
-        // racing store simply runs and expires on its own deadline
-        // poll; the merge below reads `partial` after ParallelFor's
-        // join, which is the authoritative synchronization.
-        if (expired.load(std::memory_order_relaxed)) {
-          partial[s] = Status::DeadlineExceeded(kCountDeadlineMsg);
-          return;
-        }
-        Result<CountResult> result =
-            shards_[s].CountInequality(q, shard_tolerance, deadline);
-        if (result.ok()) {
-          // relaxed-ok: monotone monitoring counter (see header);
-          // nothing orders on it.
-          rows_verified_[s].fetch_add(result.value().stats.verified,
-                                      std::memory_order_relaxed);
-        } else if (result.status().code() == StatusCode::kDeadlineExceeded) {
-          // relaxed-ok: see the flag's declaration above.
-          expired.store(true, std::memory_order_relaxed);
-        }
-        partial[s] = std::move(result);
+        return shards_[s].CountInequality(q, shard_tolerance, deadline);
       },
-      FanoutWidth());
-  const Status merged_status = MergeStatuses(
-      shards,
-      [&](size_t s) -> const Result<CountResult>& { return partial[s]; },
-      kCountDeadlineMsg);
-  if (!merged_status.ok()) return merged_status;
-  return MergeCount(shards, [&](size_t s) -> const CountResult& {
-    return partial[s].value();
-  });
+      MergeCount);
 }
 
 Result<AggregateResult> ShardedIndexSet::AggregateInequality(
     const ScalarProductQuery& q, const CountTolerance& tolerance,
     const Deadline& deadline) const {
-  const size_t shards = shards_.size();
-  // Single shard: inline, no fan-out scaffolding (see Inequality).
-  if (shards == 1) {
-    Result<AggregateResult> result =
-        shards_[0].AggregateInequality(q, tolerance, deadline);
-    if (result.ok()) {
-      // relaxed-ok: monotone monitoring counter (see header); nothing
-      // orders on it.
-      rows_verified_[0].fetch_add(result.value().count.stats.verified,
-                                  std::memory_order_relaxed);
-      return result;
-    }
-    if (result.status().code() == StatusCode::kDeadlineExceeded) {
-      return Status::DeadlineExceeded(kAggregateDeadlineMsg);
-    }
-    return result;
-  }
-  const CountTolerance shard_tolerance = SplitTolerance(tolerance, shards);
-  std::vector<Result<AggregateResult>> partial(
-      shards, Status::Internal("shard not executed"));
-  std::atomic<bool> expired(false);
-  ParallelFor(
-      shards,
+  const CountTolerance shard_tolerance =
+      SplitTolerance(tolerance, shards_.size());
+  return FanOut<AggregateResult>(
+      kAggregateDeadlineMsg,
       [&](size_t s) {
-        // relaxed-ok: advisory fast-skip flag, same protocol as
-        // Inequality above; the post-join merge is authoritative.
-        if (expired.load(std::memory_order_relaxed)) {
-          partial[s] = Status::DeadlineExceeded(kAggregateDeadlineMsg);
-          return;
-        }
-        Result<AggregateResult> result =
-            shards_[s].AggregateInequality(q, shard_tolerance, deadline);
-        if (result.ok()) {
-          // relaxed-ok: monotone monitoring counter (see header);
-          // nothing orders on it.
-          rows_verified_[s].fetch_add(result.value().count.stats.verified,
-                                      std::memory_order_relaxed);
-        } else if (result.status().code() == StatusCode::kDeadlineExceeded) {
-          // relaxed-ok: see the flag's declaration above.
-          expired.store(true, std::memory_order_relaxed);
-        }
-        partial[s] = std::move(result);
+        return shards_[s].AggregateInequality(q, shard_tolerance, deadline);
       },
-      FanoutWidth());
-  const Status merged_status = MergeStatuses(
-      shards,
-      [&](size_t s) -> const Result<AggregateResult>& { return partial[s]; },
-      kAggregateDeadlineMsg);
-  if (!merged_status.ok()) return merged_status;
-  return MergeAggregate(shards, [&](size_t s) -> const AggregateResult& {
-    return partial[s].value();
-  });
+      MergeAggregate);
 }
 
 std::vector<Result<InequalityResult>> ShardedIndexSet::BatchInequality(
@@ -427,8 +344,7 @@ std::vector<Result<InequalityResult>> ShardedIndexSet::BatchInequality(
     for (Result<InequalityResult>& result : results) {
       if (result.ok()) {
         verified += result.value().stats.verified;
-        std::vector<uint32_t>& ids = result.value().ids;
-        std::sort(ids.begin(), ids.end());
+        Canonicalize(0, &result->ids);
       } else if (result.status().code() == StatusCode::kDeadlineExceeded) {
         result = Status::DeadlineExceeded(kInequalityDeadlineMsg);
       }
@@ -455,12 +371,7 @@ std::vector<Result<InequalityResult>> ShardedIndexSet::BatchInequality(
         for (Result<InequalityResult>& result : batch.results) {
           if (!result.ok()) continue;
           verified += result.value().stats.verified;
-          std::vector<uint32_t>& ids = result.value().ids;
-          // Shard 0's offset is 0: skip the no-op rebase pass.
-          if (offsets_[s] != 0) {
-            for (uint32_t& id : ids) id += offsets_[s];
-          }
-          std::sort(ids.begin(), ids.end());
+          Canonicalize(offsets_[s], &result->ids);
         }
         // relaxed-ok: monotone monitoring counter (see header); nothing
         // orders on it.
@@ -504,85 +415,40 @@ std::vector<Result<InequalityResult>> ShardedIndexSet::BatchInequality(
 Result<TopKResult> ShardedIndexSet::TopK(const ScalarProductQuery& q,
                                          size_t k,
                                          const Deadline& deadline) const {
-  const size_t shards = shards_.size();
-  // Single shard: inline, no fan-out scaffolding (see Inequality). The
-  // shard's neighbors are already canonical ((distance, id)-sorted) with
-  // offset 0, so its answer is the merged answer bit for bit.
-  if (shards == 1) {
-    Result<TopKResult> result = shards_[0].TopK(q, k, deadline);
-    if (result.ok()) {
-      // relaxed-ok: monotone monitoring counter (see header); nothing
-      // orders on it.
-      rows_verified_[0].fetch_add(
-          result.value().stats.verified_intermediate,
-          std::memory_order_relaxed);
-      return result;
-    }
-    if (result.status().code() == StatusCode::kDeadlineExceeded) {
-      return Status::DeadlineExceeded(kTopKDeadlineMsg);
-    }
-    return result;
-  }
-  std::vector<Result<TopKResult>> partial(
-      shards, Status::Internal("shard not executed"));
-  std::atomic<bool> expired(false);
-  ParallelFor(
-      shards,
-      [&](size_t s) {
-        // relaxed-ok: advisory fast-skip flag, same protocol as
-        // Inequality above; the post-join merge is authoritative.
-        if (expired.load(std::memory_order_relaxed)) {
-          partial[s] = Status::DeadlineExceeded(kTopKDeadlineMsg);
-          return;
-        }
-        Result<TopKResult> result = shards_[s].TopK(q, k, deadline);
-        if (result.ok()) {
-          // relaxed-ok: monotone monitoring counter (see header);
-          // nothing orders on it.
-          rows_verified_[s].fetch_add(
-              result.value().stats.verified_intermediate,
-              std::memory_order_relaxed);
-        } else if (result.status().code() == StatusCode::kDeadlineExceeded) {
-          // relaxed-ok: see the flag's declaration above.
-          expired.store(true, std::memory_order_relaxed);
-        }
-        partial[s] = std::move(result);
-      },
-      FanoutWidth());
-  const Status merged_status = MergeStatuses(
-      shards,
-      [&](size_t s) -> const Result<TopKResult>& { return partial[s]; },
-      kTopKDeadlineMsg);
-  if (!merged_status.ok()) return merged_status;
-
   // The global top-k is contained in the union of per-shard top-ks, and
   // distances are computed from raw phi rows (index-independent), so
-  // folding every shard's candidates through the canonical
-  // (distance, id) buffer reproduces the monolithic result bit for bit.
-  TopKResult merged;
-  if (k > 0) {
-    TopKBuffer buffer(k);
-    for (size_t s = 0; s < shards; ++s) {
-      for (const Neighbor& neighbor : partial[s].value().neighbors) {
-        buffer.Insert(neighbor.id + offsets_[s], neighbor.distance);
+  // folding every shard's candidates through the canonical (distance, id)
+  // buffer reproduces the monolithic result bit for bit. A single shard's
+  // neighbors are already canonical with offset 0.
+  auto merge = [&](const std::vector<Result<TopKResult>>& partial) {
+    TopKResult merged;
+    if (k > 0) {
+      TopKBuffer buffer(k);
+      for (size_t s = 0; s < partial.size(); ++s) {
+        for (const Neighbor& neighbor : partial[s]->neighbors) {
+          buffer.Insert(neighbor.id + offsets_[s], neighbor.distance);
+        }
+      }
+      merged.neighbors = buffer.TakeSorted();
+    }
+    bool common_index = true;
+    for (const Result<TopKResult>& part : partial) {
+      const TopKStats& stats = part->stats;
+      merged.stats.num_points += stats.num_points;
+      merged.stats.verified_intermediate += stats.verified_intermediate;
+      merged.stats.scanned_accept_region += stats.scanned_accept_region;
+      merged.stats.early_terminated |= stats.early_terminated;
+      if (stats.index_used != partial[0]->stats.index_used) {
+        common_index = false;
       }
     }
-    merged.neighbors = buffer.TakeSorted();
-  }
-  bool common_index = true;
-  for (size_t s = 0; s < shards; ++s) {
-    const TopKStats& stats = partial[s].value().stats;
-    merged.stats.num_points += stats.num_points;
-    merged.stats.verified_intermediate += stats.verified_intermediate;
-    merged.stats.scanned_accept_region += stats.scanned_accept_region;
-    merged.stats.early_terminated |= stats.early_terminated;
-    if (stats.index_used != partial[0].value().stats.index_used) {
-      common_index = false;
-    }
-  }
-  merged.stats.index_used =
-      common_index ? partial[0].value().stats.index_used : -1;
-  return merged;
+    merged.stats.index_used =
+        common_index ? partial[0]->stats.index_used : -1;
+    return merged;
+  };
+  return FanOut<TopKResult>(
+      kTopKDeadlineMsg,
+      [&](size_t s) { return shards_[s].TopK(q, k, deadline); }, merge);
 }
 
 size_t ShardedIndexSet::MemoryUsage() const {

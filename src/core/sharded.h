@@ -166,6 +166,16 @@ class ShardedIndexSet {
   /// Resolved fan-out width for one query.
   size_t FanoutWidth() const;
 
+  /// Runs `call(s)` (returning Result<R>) on every shard — inline for a
+  /// single shard, across the pool otherwise — with first-expiry
+  /// cancellation and per-shard rows-verified accounting. Any deadline
+  /// expiry becomes the canonical `deadline_msg` status; otherwise the
+  /// first shard error wins, and `merge(partials)` folds the per-shard
+  /// results (a single shard's result is returned as is).
+  template <typename R, typename Call, typename Merge>
+  Result<R> FanOut(const char* deadline_msg, const Call& call,
+                   const Merge& merge) const;
+
   std::vector<PlanarIndexSet> shards_;
   /// Shard row offsets, size num_shards() + 1; shard s covers global
   /// rows [offsets_[s], offsets_[s + 1]).

@@ -4,14 +4,11 @@
 // tolerance-0 counts are bit-equal to the materializing Inequality path
 // and the scan baseline on every serving surface (index, set, sharded),
 // looser tolerances return certified [lower, upper] bounds that always
-// contain the truth and meet the requested gap, the learned-CDF sidecar
-// never changes an answer, and the deadline / serialization behavior
-// matches the rest of the tree (canonical messages; blobs byte-identical
-// with the sidecar on or off).
+// contain the truth and meet the requested gap, the B+-tree backend
+// answers like the sorted array, and deadline failures carry the
+// canonical messages.
 
 #include <cmath>
-#include <cstdio>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,7 +18,6 @@
 #include "core/index_set.h"
 #include "core/planar_index.h"
 #include "core/scan.h"
-#include "core/serialize.h"
 #include "core/sharded.h"
 #include "tests/test_util.h"
 
@@ -139,32 +135,66 @@ TEST(CountInequalityTest, BoundsContainTruthAtEveryTolerance) {
   }
 }
 
-// The learned sidecar carries no authority: counts (and inequality ids)
-// are bit-identical with the model on and off, at every tolerance.
-TEST(CountInequalityTest, LearnedCdfToggleNeverChangesAnswers) {
-  PhiMatrix phi = RandomPhi(8192, 2, 1.0, 100.0, 99);
-  PlanarIndexOptions with_model;
-  PlanarIndexOptions without_model;
-  without_model.learned_cdf = false;
-  auto on = PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0}, with_model);
-  auto off = PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0}, without_model);
-  ASSERT_TRUE(on.ok() && off.ok());
-  EXPECT_FALSE(on->learned_cdf().empty());  // big enough to fit a model
-  EXPECT_TRUE(off->learned_cdf().empty());
-  Rng rng(11);
-  for (int trial = 0; trial < 60; ++trial) {
-    const ScalarProductQuery q = MakeQuery(2, &rng);
-    auto count_on = on->CountInequality(q);
-    auto count_off = off->CountInequality(q);
-    ASSERT_TRUE(count_on.ok() && count_off.ok());
-    EXPECT_EQ(count_on->lower, count_off->lower);
-    EXPECT_EQ(count_on->upper, count_off->upper);
-    EXPECT_EQ(count_on->estimate, count_off->estimate);
-    auto ids_on = on->Inequality(q);
-    auto ids_off = off->Inequality(q);
-    ASSERT_TRUE(ids_on.ok() && ids_off.ok());
-    EXPECT_EQ(Sorted(ids_on->ids), Sorted(ids_off->ids));
+// The B+-tree backend streams the II and walks the accept region through
+// its leaf cursor instead of the flat arrays. Both backends hold the same
+// (key, id) rank order, so exact and mid-tolerance counts agree with the
+// sorted array row for row (same bounds, same rows verified) and with the
+// scan, for both comparison directions; the >= accept-region walk of
+// top-k matches ScanTopK.
+TEST(CountInequalityTest, BTreeBackendMatchesSortedArrayAndScan) {
+  PhiMatrix phi = RandomPhi(5000, 3, 1.0, 100.0, 61);
+  const std::vector<double> normal = {1.0, 2.0, 1.5};
+  PlanarIndexOptions tree_options;
+  tree_options.backend = PlanarIndexOptions::Backend::kBTree;
+  auto array = PlanarIndex::BuildFirstOctant(&phi, normal);
+  auto tree = PlanarIndex::BuildFirstOctant(&phi, normal, tree_options);
+  ASSERT_TRUE(array.ok() && tree.ok());
+  CountTolerance mid;
+  mid.absolute = 64.0;
+  Rng rng(63);
+  size_t refined = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    for (Comparison cmp : {Comparison::kLessEqual, Comparison::kGreaterEqual}) {
+      ScalarProductQuery q = MakeQuery(3, &rng);
+      q.cmp = cmp;
+      auto scan = ScanCountInequality(phi, q, Deadline::Infinite());
+      ASSERT_TRUE(scan.ok());
+      const size_t truth = scan->estimate;
+
+      auto tree_exact = tree->CountInequality(q);
+      auto array_exact = array->CountInequality(q);
+      ASSERT_TRUE(tree_exact.ok() && array_exact.ok());
+      EXPECT_TRUE(tree_exact->exact);
+      EXPECT_EQ(tree_exact->estimate, truth);
+      EXPECT_EQ(tree_exact->estimate, array_exact->estimate);
+      EXPECT_EQ(tree_exact->stats.verified, array_exact->stats.verified);
+
+      auto tree_mid = tree->CountInequality(q, mid);
+      auto array_mid = array->CountInequality(q, mid);
+      ASSERT_TRUE(tree_mid.ok() && array_mid.ok());
+      EXPECT_EQ(tree_mid->lower, array_mid->lower);
+      EXPECT_EQ(tree_mid->upper, array_mid->upper);
+      EXPECT_EQ(tree_mid->stats.verified, array_mid->stats.verified);
+      EXPECT_LE(tree_mid->lower, truth);
+      EXPECT_GE(tree_mid->upper, truth);
+      EXPECT_LE(static_cast<double>(tree_mid->gap()), mid.absolute);
+      if (tree_mid->refined) ++refined;
+
+      if (cmp == Comparison::kGreaterEqual) {
+        auto tree_topk = tree->TopK(q, 10);
+        auto scan_topk = ScanTopK(phi, q, 10);
+        ASSERT_TRUE(tree_topk.ok() && scan_topk.ok());
+        ASSERT_EQ(tree_topk->neighbors.size(), scan_topk->neighbors.size());
+        for (size_t i = 0; i < scan_topk->neighbors.size(); ++i) {
+          EXPECT_EQ(tree_topk->neighbors[i].id, scan_topk->neighbors[i].id);
+          EXPECT_EQ(tree_topk->neighbors[i].distance,
+                    scan_topk->neighbors[i].distance);
+        }
+      }
+    }
   }
+  // The mid tolerance must actually exercise the cursor's refinement.
+  EXPECT_GT(refined, 0u);
 }
 
 // An already-expired deadline fails refinement with the canonical
@@ -248,52 +278,6 @@ TEST(CountInequalityTest, RejectsNonFiniteAndIncompatibleQueries) {
   ScalarProductQuery wrong_octant{{1.0, -1.0}, 10.0, Comparison::kLessEqual};
   EXPECT_EQ(index->CountInequality(wrong_octant).status().code(),
             StatusCode::kFailedPrecondition);
-}
-
-std::vector<unsigned char> ReadAll(const std::string& path) {
-  std::vector<unsigned char> bytes;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr);
-  if (f == nullptr) return bytes;
-  unsigned char buf[4096];
-  size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + got);
-  }
-  std::fclose(f);
-  return bytes;
-}
-
-// The learned sidecar is never serialized: blobs written with the model
-// on and off are byte-identical, and a reloaded set still counts exactly
-// (the sidecar is rebuilt at load).
-TEST(CountInequalityTest, SerializedBlobsByteIdenticalAcrossSidecarToggle) {
-  PhiMatrix phi = RandomPhi(8192, 2, 1.0, 100.0, 13);
-  IndexSetOptions with_model = SetOptions();
-  IndexSetOptions without_model = SetOptions();
-  without_model.index_options.learned_cdf = false;
-  auto on = PlanarIndexSet::Build(CopyPhi(phi), Domains(2), with_model);
-  auto off = PlanarIndexSet::Build(CopyPhi(phi), Domains(2), without_model);
-  ASSERT_TRUE(on.ok() && off.ok());
-  const std::string path_on =
-      std::string(::testing::TempDir()) + "/count_sidecar_on.planar";
-  const std::string path_off =
-      std::string(::testing::TempDir()) + "/count_sidecar_off.planar";
-  ASSERT_TRUE(SaveIndexSet(*on, path_on).ok());
-  ASSERT_TRUE(SaveIndexSet(*off, path_off).ok());
-  EXPECT_EQ(ReadAll(path_on), ReadAll(path_off));
-
-  auto loaded = LoadIndexSet(path_on);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  Rng rng(17);
-  for (int trial = 0; trial < 20; ++trial) {
-    const ScalarProductQuery q = MakeQuery(2, &rng);
-    auto count = loaded->CountInequality(q);
-    ASSERT_TRUE(count.ok());
-    EXPECT_EQ(count->estimate, ScanInequality(phi, q).ids.size());
-  }
-  std::remove(path_on.c_str());
-  std::remove(path_off.c_str());
 }
 
 // The scan-fallback baseline used by the set when no index can serve.

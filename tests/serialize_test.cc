@@ -5,9 +5,11 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/random.h"
 #include "tests/test_util.h"
 
@@ -179,6 +181,91 @@ TEST(SerializeTest, V1FilesStillLoad) {
             Sorted(original.Inequality(q).ids));
   std::remove(path.c_str());
   std::remove(v1_path.c_str());
+}
+
+// Payload layout (after the version header): the 64-byte options record,
+// then dim and n as uint64, then the phi rows.
+constexpr size_t kDimOffset = 64;
+constexpr size_t kRowsOffset = kDimOffset + 8;
+
+void PutU64(std::vector<unsigned char>* bytes, size_t at, uint64_t value) {
+  PLANAR_CHECK(at + sizeof(value) <= bytes->size());
+  std::memcpy(bytes->data() + at, &value, sizeof(value));
+}
+
+// A header claiming far more rows than the file holds must fail with a
+// Status before anything is sized from it: this 88-byte v1 blob (magic,
+// options, dim = 2, n = 2^40) used to abort the loader with bad_alloc.
+TEST(SerializeTest, V1HeaderClaimingHugeRowCountRejected) {
+  const std::string path = TempPath("huge_v1.planar");
+  PlanarIndexSet original = MakeSet(88, 1);
+  ASSERT_TRUE(SaveIndexSet(original, path).ok());
+  const std::vector<unsigned char> v2 = ReadAll(path);
+  std::vector<unsigned char> v1 = {'P', 'L', 'N', 'R', 'I', 'D', 'X', '1'};
+  v1.insert(v1.end(), v2.begin() + 20, v2.begin() + 20 + kRowsOffset + 8);
+  ASSERT_EQ(v1.size(), 88u);
+  PutU64(&v1, 8 + kDimOffset, 2);
+  PutU64(&v1, 8 + kRowsOffset, uint64_t{1} << 40);
+  WriteAll(path, v1);
+
+  auto loaded = LoadIndexSet(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+void AppendU64(std::vector<unsigned char>* bytes, uint64_t value) {
+  const unsigned char* raw = reinterpret_cast<const unsigned char*>(&value);
+  bytes->insert(bytes->end(), raw, raw + sizeof(value));
+}
+
+// Wraps a payload in the v2 header: magic, CRC of the payload, size.
+std::vector<unsigned char> WrapV2(const std::vector<unsigned char>& payload) {
+  std::vector<unsigned char> bytes = {'P', 'L', 'N', 'R', 'I', 'D', 'X', '2'};
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  const unsigned char* raw = reinterpret_cast<const unsigned char*>(&crc);
+  bytes.insert(bytes.end(), raw, raw + sizeof(crc));
+  AppendU64(&bytes, payload.size());
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  return bytes;
+}
+
+// The v2 checksum guards against bit rot, not against a malformed writer.
+// Under a valid CRC, a header claiming a huge row count and a
+// self-consistent blob with 65 axes (more than the 64-bit octant mask
+// can describe) are both rejected by the field checks.
+TEST(SerializeTest, V2MalformedHeaderWithValidCrcRejected) {
+  const std::string path = TempPath("malformed_v2.planar");
+  PlanarIndexSet original = MakeSet(89, 2);
+  ASSERT_TRUE(SaveIndexSet(original, path).ok());
+  const std::vector<unsigned char> good = ReadAll(path);
+  const std::vector<unsigned char> options_record(
+      good.begin() + 20, good.begin() + 20 + kDimOffset);
+
+  std::vector<unsigned char> huge_rows(good.begin() + 20, good.end());
+  PutU64(&huge_rows, kRowsOffset, uint64_t{1} << 40);
+
+  // One row and one index over 65 axes, every field present.
+  constexpr uint64_t kDim = 65;
+  std::vector<unsigned char> wide_dim = options_record;
+  AppendU64(&wide_dim, kDim);
+  AppendU64(&wide_dim, 1);  // n
+  const std::vector<double> ones(kDim, 1.0);
+  const unsigned char* row =
+      reinterpret_cast<const unsigned char*>(ones.data());
+  wide_dim.insert(wide_dim.end(), row, row + kDim * sizeof(double));
+  AppendU64(&wide_dim, 1);  // num_indices
+  AppendU64(&wide_dim, 0);  // octant bits: first octant
+  wide_dim.insert(wide_dim.end(), row, row + kDim * sizeof(double));
+
+  for (const std::vector<unsigned char>* payload : {&huge_rows, &wide_dim}) {
+    WriteAll(path, WrapV2(*payload));
+    auto loaded = LoadIndexSet(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SerializeTest, LoadWithOptionsOverrideSwitchesBackend) {

@@ -233,10 +233,9 @@ int RunCount(const FlagParser& flags) {
   WallTimer timer;
   auto result = set->CountInequality(q, tolerance);
   if (!result.ok()) return Fail(result.status());
-  std::printf("bounds [%zu, %zu]  estimate %zu%s in %.3f ms "
+  std::printf("bounds [%zu, %zu]  estimate %zu in %.3f ms "
               "(%s%zu rows verified, index %d)\n",
               result->lower, result->upper, result->estimate,
-              result->model_estimated ? " (model)" : "",
               timer.ElapsedMillis(), result->refined ? "refined, " : "",
               result->stats.verified, result->stats.index_used);
   if (result->exact) {

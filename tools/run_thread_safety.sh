@@ -14,10 +14,11 @@
 # Environment:
 #   CLANG_CXX   clang++ binary to use (default: clang++)
 #
-# Exits 0 with a SKIPPED note when clang is unavailable so that
-# environments without LLVM (minimal dev containers) still pass the
-# full ctest suite; the CI clang-thread-safety job installs the real
-# compiler and enforces the gate.
+# Exit status: 0 clean, 1 findings or a failed configure/build, 77 with
+# a SKIPPED note when clang is unavailable (environments without LLVM),
+# so a caller can tell a skipped gate from a passed one. The CI
+# clang-thread-safety job installs the real compiler and enforces the
+# gate.
 set -u -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -25,7 +26,7 @@ cd "$(dirname "$0")/.."
 CLANG_CXX="${CLANG_CXX:-clang++}"
 if ! command -v "$CLANG_CXX" > /dev/null 2>&1; then
   echo "run_thread_safety: SKIPPED ($CLANG_CXX not installed)"
-  exit 0
+  exit 77
 fi
 
 build_dir="${1:-build-clang-tsa}"
