@@ -123,7 +123,7 @@ SearchMeasurement BenchBoundarySearch(size_t n, int runs) {
   const double eytz_ms = MinMillis(
       [&] {
         size_t acc = 0;
-        for (const double p : probes) acc += eytz.UpperBound(p);
+        for (const double p : probes) acc += eytz.UpperBound(keys.data(), p);
         g_sink = static_cast<double>(acc);
       },
       runs);

@@ -156,7 +156,7 @@ void BM_BoundarySearchEytzinger(benchmark::State& state) {
   Rng rng(10);
   for (auto _ : state) {
     const double probe = rng.Uniform(0.0, 1e6);
-    benchmark::DoNotOptimize(eytz.UpperBound(probe));
+    benchmark::DoNotOptimize(eytz.UpperBound(keys.data(), probe));
   }
 }
 BENCHMARK(BM_BoundarySearchEytzinger)

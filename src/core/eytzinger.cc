@@ -8,16 +8,16 @@ namespace planar {
 
 namespace {
 
-// In-order walk of the implicit tree assigns sorted ranks to BFS slots.
-// Recursion depth is the tree height (~log2 n), not n.
-size_t FillNode(const double* sorted, size_t rank, size_t node, size_t n,
-                double* keys, uint32_t* ranks) {
-  if (node > n) return rank;
-  rank = FillNode(sorted, rank, 2 * node, n, keys, ranks);
-  keys[node] = sorted[rank];
-  ranks[node] = static_cast<uint32_t>(rank);
-  ++rank;
-  return FillNode(sorted, rank, 2 * node + 1, n, keys, ranks);
+// In-order walk of the implicit tree assigns sample numbers to BFS slots.
+// Recursion depth is the tree height (~log2(n / 16)), not n.
+size_t FillNode(const double* sorted, size_t block, size_t node,
+                size_t blocks, double* samples, uint32_t* block_of) {
+  if (node > blocks) return block;
+  block = FillNode(sorted, block, 2 * node, blocks, samples, block_of);
+  samples[node] = sorted[block * kEytzingerStride];
+  block_of[node] = static_cast<uint32_t>(block);
+  ++block;
+  return FillNode(sorted, block, 2 * node + 1, blocks, samples, block_of);
 }
 
 }  // namespace
@@ -27,21 +27,23 @@ void EytzingerKeys::Build(const double* sorted_keys, size_t n) {
   if (n < kEytzingerMinKeys) return;
   PLANAR_CHECK(sorted_keys != nullptr);
   n_ = n;
-  keys_.resize(n + 1);
-  rank_.resize(n + 1);
-  keys_[0] = 0.0;
-  rank_[0] = 0;
-  const size_t filled =
-      FillNode(sorted_keys, 0, 1, n, keys_.data(), rank_.data());
-  PLANAR_DCHECK(filled == n);
+  blocks_ = (n + kEytzingerStride - 1) / kEytzingerStride;
+  samples_.resize(blocks_ + 1);
+  block_.resize(blocks_ + 1);
+  samples_[0] = 0.0;
+  block_[0] = 0;
+  const size_t filled = FillNode(sorted_keys, 0, 1, blocks_, samples_.data(),
+                                 block_.data());
+  PLANAR_DCHECK(filled == blocks_);
   (void)filled;
 }
 
 void EytzingerKeys::Clear() {
-  keys_.clear();
-  keys_.shrink_to_fit();
-  rank_.clear();
-  rank_.shrink_to_fit();
+  samples_.clear();
+  samples_.shrink_to_fit();
+  block_.clear();
+  block_.shrink_to_fit();
+  blocks_ = 0;
   n_ = 0;
 }
 

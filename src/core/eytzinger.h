@@ -1,8 +1,10 @@
 // Copyright (c) 2026 The planar Authors. Licensed under the MIT license.
 //
-// Cache-optimized boundary search: an auxiliary copy of a sorted key
-// array rearranged into Eytzinger (BFS / implicit-heap) order, searched
-// by a branchless descent with explicit prefetch.
+// Cache-optimized boundary search: a sampled Eytzinger (BFS /
+// implicit-heap) tree over every kEytzingerStride-th key of a sorted
+// array, searched by a branchless descent with explicit prefetch and
+// finished by a branchless count over one stride-sized block of the
+// sorted array itself.
 //
 // Why: a query against a Planar index pays two binary searches over the
 // sorted keys (the SI/LI rank boundaries) before any verification runs.
@@ -16,12 +18,23 @@
 // compounds with the vectorized verification kernels: once |II| is small,
 // the boundary searches ARE the per-query fixed cost.
 //
+// Sampling: the tree holds only keys[0], keys[16], keys[32], ... (8 bytes
+// each plus a 4-byte block number), so it costs 12 / 16 = 0.75 bytes per
+// indexed key, where a tree over every key (key plus rank) would cost 12,
+// and at n = 1M the whole tree (~750 KB) stays close to L2. The descent finds the block whose first
+// key is the last sample before the probe; the last step counts the keys
+// of that block (two cache lines) that still sort before the probe. That
+// block is read from the caller's sorted array, which is passed to every
+// search rather than stored, so a moved or copied owner can never leave
+// the layout pointing at freed storage.
+//
 // The layout is a read-only sidecar: the flat sorted array stays the
 // source of truth for II range scans, serialization, and maintenance;
 // Build() is re-run after any mutation of the underlying keys. Searches
 // agree with std::lower_bound / std::upper_bound on every input,
-// including duplicates, ±infinity probes, denormals, and empty arrays
-// (machine-checked by tests/eytzinger_test.cc).
+// including duplicates, ±infinity and NaN probes, denormals, and sizes
+// that are not a multiple of the stride (machine-checked by
+// tests/eytzinger_test.cc).
 
 #ifndef PLANAR_CORE_EYTZINGER_H_
 #define PLANAR_CORE_EYTZINGER_H_
@@ -33,14 +46,19 @@
 
 namespace planar {
 
-/// Arrays below this size skip the Eytzinger sidecar: they fit in one or
-/// two cache lines, where std::lower_bound is already branch-cheap and
-/// the 12 bytes/key sidecar would be pure overhead. Callers fall back to
-/// the flat search when empty() is true.
+/// Arrays below this size skip the Eytzinger sidecar: they fit in a few
+/// cache lines, where std::lower_bound is already branch-cheap. Callers
+/// fall back to the flat search when empty() is true.
 inline constexpr size_t kEytzingerMinKeys = 64;
 
-/// An Eytzinger-ordered copy of a sorted double array answering rank
-/// (lower/upper bound) queries branchlessly. Immutable after Build().
+/// One tree node per this many sorted keys; the search finishes with a
+/// branchless count over one block of this many keys (128 bytes).
+inline constexpr size_t kEytzingerStride = 16;
+
+/// A sampled Eytzinger tree over a sorted double array answering rank
+/// (lower/upper bound) queries branchlessly. Immutable after Build(); every
+/// search takes the same sorted array (same contents, same length) the
+/// layout was built from.
 class EytzingerKeys {
  public:
   /// Rebuilds the layout from `n` keys sorted ascending. With
@@ -54,50 +72,31 @@ class EytzingerKeys {
   /// True iff no layout is materialized.
   bool empty() const { return n_ == 0; }
 
-  /// Number of keys in the layout (0 when not materialized).
+  /// Number of keys the layout covers (0 when not materialized).
   size_t size() const { return n_; }
 
   /// Rank of the first key not less than `x`; equals
-  /// std::lower_bound(begin, end, x) - begin on the sorted array.
-  /// Defined inline so the ~log2(n)-step descent fuses into the caller's
-  /// loop instead of paying a call per lookup.
-  size_t LowerBound(double x) const {
-    const double* keys = keys_.data();
-    const size_t n = n_;
-    size_t k = 1;
-    while (k <= n) {
-      Prefetch(keys + k * kPrefetchAhead);
-      // Descend right iff keys[k] < x: the left subtree then cannot hold
-      // the first key >= x. The comparison writes into the index, not a
-      // branch, so the loop is a fixed ~log2(n) arithmetic steps.
-      k = 2 * k + static_cast<size_t>(keys[k] < x);
-    }
-    return Finish(k);
+  /// std::lower_bound(keys, keys + size(), x) - keys. Defined inline so
+  /// the ~log2(n / 16)-step descent fuses into the caller's loop instead
+  /// of paying a call per lookup.
+  size_t LowerBound(const double* keys, double x) const {
+    return Search<false>(keys, x);
   }
 
   /// Rank of the first key greater than `x`; equals
-  /// std::upper_bound(begin, end, x) - begin on the sorted array.
-  size_t UpperBound(double x) const {
-    const double* keys = keys_.data();
-    const size_t n = n_;
-    size_t k = 1;
-    while (k <= n) {
-      Prefetch(keys + k * kPrefetchAhead);
-      // !(x < keys[k]) rather than keys[k] <= x: bitwise-identical to the
-      // comparator std::upper_bound applies, including for NaN probes.
-      k = 2 * k + static_cast<size_t>(!(x < keys[k]));
-    }
-    return Finish(k);
+  /// std::upper_bound(keys, keys + size(), x) - keys.
+  size_t UpperBound(const double* keys, double x) const {
+    return Search<true>(keys, x);
   }
 
   /// Heap footprint in bytes.
   size_t MemoryUsage() const {
-    return keys_.capacity() * sizeof(double) +
-           rank_.capacity() * sizeof(uint32_t);
+    return samples_.capacity() * sizeof(double) +
+           block_.capacity() * sizeof(uint32_t);
   }
 
  private:
-  // The descendants four levels down span keys [16k, 16k + 16) — 128
+  // The descendants four levels down span slots [16k, 16k + 16) — 128
   // bytes, two cache lines. Prefetching both pulls the whole candidate
   // set for the descent's position four iterations from now while the
   // current comparisons run; the addresses may lie past the array, which
@@ -113,19 +112,61 @@ class EytzingerKeys {
 #endif
   }
 
-  // The answer is the node where the descent last went left: cancel the
-  // trailing right-moves (low 1-bits) plus that left-move. k == 0 means
-  // every key compared "descend right" — rank n, like std::lower_bound
-  // returning end.
-  size_t Finish(size_t k) const {
-    k >>= static_cast<unsigned>(std::countr_one(k)) + 1;
-    return k == 0 ? n_ : rank_[k];
+  // True iff `key` sorts before the answer: key < x for lower_bound, and
+  // !(x < key) for upper_bound — bitwise the comparator std::upper_bound
+  // applies, including for NaN probes.
+  template <bool kUpper>
+  static bool Before(double key, double x) {
+    if constexpr (kUpper) {
+      return !(x < key);
+    } else {
+      return key < x;
+    }
   }
 
-  // 1-indexed BFS order: node i has children 2i and 2i+1; slot 0 unused.
-  std::vector<double> keys_;
-  // rank_[i] = position of keys_[i] in the sorted array.
-  std::vector<uint32_t> rank_;
+  template <bool kUpper>
+  size_t Search(const double* keys, double x) const {
+    const double* samples = samples_.data();
+    const size_t blocks = blocks_;
+    size_t k = 1;
+    while (k <= blocks) {
+      Prefetch(samples + k * kPrefetchAhead);
+      // Descend right iff the sample sorts before the answer: the left
+      // subtree then cannot hold the first sample that does not. The
+      // comparison writes into the index, not a branch.
+      k = 2 * k + static_cast<size_t>(Before<kUpper>(samples[k], x));
+    }
+    // The first sample not before x is the node where the descent last
+    // went left: cancel the trailing right-moves (low 1-bits) plus that
+    // left-move. k == 0 means every sample is before x. `before` counts
+    // the samples before x; they are a prefix because keys are sorted.
+    k >>= static_cast<unsigned>(std::countr_one(k)) + 1;
+    const size_t before = k == 0 ? blocks : block_[k];
+    if (before == 0) return 0;
+    // The answer lies past the first key of block before - 1 and at or
+    // before the first key of block `before`: count that block's keys
+    // that sort before x.
+    const size_t base = (before - 1) * kEytzingerStride;
+    const double* block = keys + base;
+    size_t count = 0;
+    if (base + kEytzingerStride <= n_) {
+      for (size_t i = 0; i < kEytzingerStride; ++i) {
+        count += static_cast<size_t>(Before<kUpper>(block[i], x));
+      }
+    } else {
+      for (size_t i = 0; i < n_ - base; ++i) {
+        count += static_cast<size_t>(Before<kUpper>(block[i], x));
+      }
+    }
+    return base + count;
+  }
+
+  // 1-indexed BFS order of the samples keys[0], keys[16], ...: node i has
+  // children 2i and 2i+1; slot 0 unused.
+  std::vector<double> samples_;
+  // block_[i] = j when samples_[i] is keys[16 j].
+  std::vector<uint32_t> block_;
+  size_t blocks_ = 0;  // number of samples, ceil(n / 16)
   size_t n_ = 0;
 };
 

@@ -245,7 +245,9 @@ class PlanarIndexSet {
   /// Access to an individual index.
   const PlanarIndex& index(size_t i) const { return indices_[i]; }
 
-  /// The options this set was built with.
+  /// The options this set was built with, with
+  /// index_options.mixed_precision as resolved at construction (see
+  /// PlanarIndexOptions::mixed_precision).
   const IndexSetOptions& options() const { return options_; }
 
   /// Cumulative number of transparent index rebuilds triggered by updates.
@@ -265,7 +267,7 @@ class PlanarIndexSet {
   explicit PlanarIndexSet(PhiMatrix phi, IndexSetOptions options)
       : phi_(std::make_unique<PhiMatrix>(std::move(phi))),
         options_(options) {
-    MaybeEnableMixedPrecision();
+    ResolvePrecision();
   }
 
   // The query kinds Route distinguishes: top-k never falls back to the
@@ -289,12 +291,15 @@ class PlanarIndexSet {
   Routing Route(const NormalizedQuery& norm, RouteKind kind,
                 const CountTolerance& tolerance) const;
 
-  // Applies the PLANAR_FORCE_F32 override to options_ and materializes the
-  // matrix's f32 mirror when mixed precision is on (option set and not
-  // disabled via PLANAR_DISABLE_F32). Called from the constructor so every
-  // route into a live set — Build, BuildWithNormals, Clone, snapshot load —
-  // regenerates the mirror; it is never serialized.
-  void MaybeEnableMixedPrecision();
+  // Resolves options_.index_options.mixed_precision once for the whole
+  // set: on iff PLANAR_DISABLE_F32 is unset and either PLANAR_FORCE_F32 is
+  // set or the caller asked for it at d' >= kMixedMinDim. Every index,
+  // the matrix's f32 mirror (materialized here when on), and whatever
+  // follows the mirror (scan fallback, batch path, ingest delta) use that
+  // one value. Called from the constructor so every route into a live set
+  // — Build, BuildWithNormals, Clone, snapshot load — resolves it the same
+  // way; the mirror is never serialized.
+  void ResolvePrecision();
 
   // Builds every definition (sharded across options_.build_threads via
   // ParallelFor) and appends the indices in definition order; on any

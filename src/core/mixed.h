@@ -11,8 +11,9 @@
 // Runtime control: PLANAR_DISABLE_F32 (read once, like
 // PLANAR_DISABLE_SIMD) turns the whole path off even when
 // PlanarIndexOptions::mixed_precision is set; PLANAR_FORCE_F32 turns it
-// on for every PlanarIndexSet build, which CI uses to run the standard
-// suites through the mixed path.
+// on for every PlanarIndexSet build at every d', which CI uses to run
+// the standard suites through the mixed path. Without either, a set
+// honours the option only from d' = kMixedMinDim up.
 
 #ifndef PLANAR_CORE_MIXED_H_
 #define PLANAR_CORE_MIXED_H_
@@ -25,13 +26,20 @@
 
 namespace planar {
 
+/// The smallest phi dimensionality d' at which a PlanarIndexSet turns the
+/// requested f32 mirror on. bench_kernels' batch_verify_mixed runs at
+/// 0.40x the f64 kernel at d' = 2 and 0.45x at d' = 4, but 1.45x at
+/// d' = 8 and 1.32x at d' = 16 (4-vCPU host): below 8 the extra f32
+/// classify pass costs more than the halved row bytes save.
+inline constexpr size_t kMixedMinDim = 8;
+
 /// False iff the PLANAR_DISABLE_F32 environment variable is set to a
 /// non-empty value other than "0". Read exactly once per process.
 bool MixedPrecisionRuntimeEnabled();
 
 /// True iff the PLANAR_FORCE_F32 environment variable is set to a
 /// non-empty value other than "0". PlanarIndexSet builds then behave as
-/// if options.index_options.mixed_precision were true.
+/// if options.index_options.mixed_precision were true, at every d'.
 bool MixedPrecisionForcedOn();
 
 /// Per-query state for the mixed verify path. Built once per query by

@@ -2,6 +2,7 @@
 
 #include "core/serialize.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -97,6 +98,22 @@ OptionsRecord PackOptions(const IndexSetOptions& o) {
   return r;
 }
 
+// True iff every field of `r` is one a writer can produce: enums in
+// range and finite, non-negative tuning values. A NaN margin or band
+// would otherwise reach the build, and a NaN margin aborts it.
+bool ValidOptions(const OptionsRecord& r) {
+  constexpr auto kLastSelector =
+      static_cast<uint32_t>(IndexSetOptions::Selector::kIntervalCount);
+  constexpr auto kLastBackend =
+      static_cast<uint32_t>(PlanarIndexOptions::Backend::kBTree);
+  const auto non_negative = [](double v) {
+    return std::isfinite(v) && v >= 0.0;
+  };
+  return r.selector <= kLastSelector && r.backend <= kLastBackend &&
+         std::isfinite(r.dedup_tolerance) && non_negative(r.delta_margin) &&
+         non_negative(r.epsilon_band);
+}
+
 IndexSetOptions UnpackOptions(const OptionsRecord& r) {
   IndexSetOptions o;
   o.budget = r.budget;
@@ -146,6 +163,10 @@ Result<PlanarIndexSet> ParsePayload(ByteReader reader,
       n > reader.remaining() / (dim * sizeof(double))) {
     return Status::InvalidArgument("corrupt header in '" + path + "'");
   }
+  if (!ValidOptions(options_record)) {
+    return Status::InvalidArgument("corrupt options record in '" + path +
+                                   "'");
+  }
   const IndexSetOptions options = options_override != nullptr
                                       ? *options_override
                                       : UnpackOptions(options_record);
@@ -162,6 +183,13 @@ Result<PlanarIndexSet> ParsePayload(ByteReader reader,
   uint64_t num_indices = 0;
   if (!reader.ReadValue(&num_indices) || num_indices == 0) {
     return Status::InvalidArgument("no indices in '" + path + "'");
+  }
+  // Each entry is an octant mask plus dim doubles; a count the bytes left
+  // cannot hold is rejected before anything is reserved for it.
+  const uint64_t entry_bytes = sizeof(uint64_t) + sizeof(double) * dim;
+  if (num_indices > reader.remaining() / entry_bytes) {
+    return Status::InvalidArgument("truncated index table in '" + path +
+                                   "'");
   }
   std::vector<std::pair<std::vector<double>, Octant>> definitions;
   definitions.reserve(num_indices);

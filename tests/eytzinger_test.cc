@@ -1,9 +1,13 @@
 // Copyright (c) 2026 The planar Authors. Licensed under the MIT license.
 //
 // Property tests: EytzingerKeys::LowerBound / UpperBound must agree with
-// std::lower_bound / std::upper_bound on every sorted input — duplicates,
-// all-equal arrays, denormals, ±huge magnitudes, ±infinity probes — for
-// probes drawn from the array, between its elements, and far outside.
+// std::lower_bound / std::upper_bound on every sorted input — duplicates
+// (including runs that straddle a kEytzingerStride block boundary),
+// all-equal arrays, denormals, ±huge magnitudes, sizes that are not a
+// multiple of the stride, ±infinity and NaN probes, probes equal to a
+// sampled key — for probes drawn from the array, between its elements,
+// and far outside. The sampled layout must also stay under one byte per
+// key.
 
 #include "core/eytzinger.h"
 
@@ -53,10 +57,13 @@ void CheckAgainstStd(const std::vector<double>& keys) {
   probes.push_back(-std::numeric_limits<double>::denorm_min());
   probes.push_back(std::numeric_limits<double>::max());
   probes.push_back(std::numeric_limits<double>::lowest());
+  probes.push_back(std::numeric_limits<double>::quiet_NaN());
 
   for (double x : probes) {
-    EXPECT_EQ(eytz.LowerBound(x), StdLower(keys, x)) << "lower_bound " << x;
-    EXPECT_EQ(eytz.UpperBound(x), StdUpper(keys, x)) << "upper_bound " << x;
+    EXPECT_EQ(eytz.LowerBound(keys.data(), x), StdLower(keys, x))
+        << "lower_bound " << x << " n=" << keys.size();
+    EXPECT_EQ(eytz.UpperBound(keys.data(), x), StdUpper(keys, x))
+        << "upper_bound " << x << " n=" << keys.size();
   }
 }
 
@@ -148,8 +155,80 @@ TEST(EytzingerTest, NanProbeMatchesStd) {
   EytzingerKeys eytz;
   eytz.Build(keys.data(), keys.size());
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(eytz.LowerBound(nan), StdLower(keys, nan));
-  EXPECT_EQ(eytz.UpperBound(nan), StdUpper(keys, nan));
+  EXPECT_EQ(eytz.LowerBound(keys.data(), nan), StdLower(keys, nan));
+  EXPECT_EQ(eytz.UpperBound(keys.data(), nan), StdUpper(keys, nan));
+}
+
+TEST(EytzingerTest, RaggedLastBlockSizes) {
+  // Sizes off the stride leave a short last block; the count there must
+  // stop at n. Probes past the largest key land in that block.
+  for (size_t n : {64u, 65u, 1000u, 4097u}) {
+    std::vector<double> keys(n);
+    for (size_t i = 0; i < n; ++i) keys[i] = static_cast<double>(i) * 0.5;
+    CheckAgainstStd(keys);
+  }
+}
+
+TEST(EytzingerTest, DuplicateRunsStraddleBlockBoundaries) {
+  // Runs of equal keys that start before a block's first key and end
+  // after it, and one that spans several whole blocks: the sampled key
+  // equals keys on both sides of the boundary.
+  for (size_t n : {1000u, 4097u}) {
+    std::vector<double> keys(n);
+    for (size_t i = 0; i < n; ++i) keys[i] = static_cast<double>(i);
+    for (size_t b = kEytzingerStride; b < n; b += 3 * kEytzingerStride) {
+      const size_t lo = b - 5;
+      const size_t hi = std::min(n, b + 7);
+      for (size_t i = lo; i < hi; ++i) keys[i] = keys[lo];
+    }
+    const size_t lo = 5 * kEytzingerStride - 1;
+    for (size_t i = lo; i < lo + 4 * kEytzingerStride + 2; ++i) {
+      keys[i] = keys[lo];
+    }
+    std::sort(keys.begin(), keys.end());
+    CheckAgainstStd(keys);
+  }
+}
+
+TEST(EytzingerTest, ProbesEqualToSampledKeys) {
+  Rng rng(303);
+  std::vector<double> keys(4097);
+  for (double& k : keys) k = rng.Uniform(-1e3, 1e3);
+  std::sort(keys.begin(), keys.end());
+  EytzingerKeys eytz;
+  eytz.Build(keys.data(), keys.size());
+  for (size_t i = 0; i < keys.size(); i += kEytzingerStride) {
+    for (const double x : {keys[i], keys[i - (i > 0 ? 1 : 0)]}) {
+      EXPECT_EQ(eytz.LowerBound(keys.data(), x), StdLower(keys, x)) << i;
+      EXPECT_EQ(eytz.UpperBound(keys.data(), x), StdUpper(keys, x)) << i;
+    }
+  }
+}
+
+TEST(EytzingerTest, InfiniteAndNanProbesOnRaggedSizes) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t n : {64u, 65u, 1000u, 4097u}) {
+    std::vector<double> keys(n);
+    for (size_t i = 0; i < n; ++i) keys[i] = static_cast<double>(i % 7);
+    std::sort(keys.begin(), keys.end());
+    EytzingerKeys eytz;
+    eytz.Build(keys.data(), keys.size());
+    for (const double x : {-inf, inf, nan}) {
+      EXPECT_EQ(eytz.LowerBound(keys.data(), x), StdLower(keys, x)) << n;
+      EXPECT_EQ(eytz.UpperBound(keys.data(), x), StdUpper(keys, x)) << n;
+    }
+  }
+}
+
+TEST(EytzingerTest, FootprintUnderOneBytePerKey) {
+  for (size_t n : {4096u, 4097u, 100000u, 1u << 20}) {
+    std::vector<double> keys(n);
+    for (size_t i = 0; i < n; ++i) keys[i] = static_cast<double>(i);
+    EytzingerKeys eytz;
+    eytz.Build(keys.data(), keys.size());
+    EXPECT_LE(eytz.MemoryUsage(), n) << "n=" << n;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -264,6 +265,61 @@ TEST(SerializeTest, V2MalformedHeaderWithValidCrcRejected) {
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
         << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
+// Field checks past the header in an unchecksummed v1 blob: an index
+// count the bytes left cannot hold (2^61 used to throw length_error from
+// the reserve and terminate the process), and options no writer produces
+// (a NaN delta_margin used to trip a PLANAR_CHECK in the translator).
+// Each must come back as InvalidArgument.
+TEST(SerializeTest, V1MalformedIndexCountAndOptionsRejected) {
+  const std::string path = TempPath("malformed_v1.planar");
+  PlanarIndexSet original = MakeSet(90, 2);
+  ASSERT_TRUE(SaveIndexSet(original, path).ok());
+  const std::vector<unsigned char> v2 = ReadAll(path);
+  std::vector<unsigned char> v1 = {'P', 'L', 'N', 'R', 'I', 'D', 'X', '1'};
+  v1.insert(v1.end(), v2.begin() + 20, v2.end());
+  {
+    WriteAll(path, v1);
+    auto loaded = LoadIndexSet(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  }
+
+  const auto put_bytes = [](std::vector<unsigned char>* bytes, size_t at,
+                            const void* value, size_t size) {
+    std::memcpy(bytes->data() + 8 + at, value, size);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const uint32_t bad_enum = 7;
+  const size_t num_indices_at =
+      kRowsOffset + 8 + original.size() * original.phi().dim() * 8;
+  struct Mutation {
+    const char* what;
+    size_t at;  // payload offset
+    const void* value;
+    size_t size;
+  };
+  const uint64_t huge_count = uint64_t{1} << 61;
+  const Mutation mutations[] = {
+      {"num_indices = 2^61", num_indices_at, &huge_count, 8},
+      {"selector out of range", 8, &bad_enum, 4},
+      {"backend out of range", 12, &bad_enum, 4},
+      {"NaN dedup_tolerance", 16, &nan, 8},
+      {"NaN delta_margin", 40, &nan, 8},
+      {"infinite delta_margin", 40, &inf, 8},
+      {"NaN epsilon_band", 48, &nan, 8},
+  };
+  for (const Mutation& m : mutations) {
+    std::vector<unsigned char> bad = v1;
+    put_bytes(&bad, m.at, m.value, m.size);
+    WriteAll(path, bad);
+    auto loaded = LoadIndexSet(path);
+    ASSERT_FALSE(loaded.ok()) << m.what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << m.what << ": " << loaded.status().ToString();
   }
   std::remove(path.c_str());
 }

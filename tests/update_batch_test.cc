@@ -17,6 +17,7 @@
 #include "common/random.h"
 #include "core/planar_index.h"
 #include "core/serialize.h"
+#include "core/validate.h"
 #include "tests/test_util.h"
 
 namespace planar {
@@ -214,6 +215,32 @@ TEST(UpdateBatchEdgeTest, CloneIsolatesMaintenanceFromOriginal) {
   EXPECT_EQ(FileBytes(after_path), before);
   std::remove(before_path.c_str());
   std::remove(after_path.c_str());
+}
+
+// The merge step (Clone, then AppendRows of a delta) sizes every array
+// once: the merged set is about (n + k) / n of the source, not the ~2x a
+// per-row grow of a capacity == size copy gives. Both the f64-only
+// d' = 2 set and the mirrored d' = 8 set (phi mirror and f32 keys).
+TEST(UpdateBatchEdgeTest, CloneThenAppendRowsDoesNotDoubleArrays) {
+  for (const size_t dim : {2u, 8u}) {
+    const std::vector<ParameterDomain> domains(dim, {1.0, 6.0});
+    IndexSetOptions options;
+    options.budget = 4;
+    options.index_options.mixed_precision = true;
+    const size_t n = 20000;
+    auto original = PlanarIndexSet::Build(
+        RandomPhi(n, dim, 1.0, 60.0, 300 + dim), domains, options);
+    ASSERT_TRUE(original.ok());
+    auto clone = original->Clone();
+    ASSERT_TRUE(clone.ok());
+    const PhiMatrix extra = RandomPhi(n / 16, dim, 1.0, 60.0, 400 + dim);
+    ASSERT_TRUE(clone->AppendRows(extra.data(), extra.size()).ok());
+    ASSERT_EQ(clone->size(), n + n / 16);
+    EXPECT_LT(static_cast<double>(clone->MemoryUsage()),
+              1.1 * static_cast<double>(original->MemoryUsage()))
+        << "dim=" << dim;
+    EXPECT_TRUE(ValidateIndexSet(*clone).ok()) << "dim=" << dim;
+  }
 }
 
 }  // namespace
