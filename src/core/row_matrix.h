@@ -11,6 +11,7 @@
 #ifndef PLANAR_CORE_ROW_MATRIX_H_
 #define PLANAR_CORE_ROW_MATRIX_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -19,6 +20,22 @@
 #include "core/function.h"
 
 namespace planar {
+
+namespace internal {
+
+// Ensures capacity for `size` elements. A reallocation adds at least 1/16
+// of the old capacity, so a long run of small appends (one row, or one
+// small batch, at a time) stays amortized O(1) copies per element, while
+// a batch of k <= n/10 appended to an array cloned at capacity == n ends
+// at max(n + k, n + n/16) instead of doubling.
+template <typename T>
+void GrowCapacity(std::vector<T>* v, size_t size) {
+  if (v->capacity() < size) {
+    v->reserve(std::max(size, v->capacity() + v->capacity() / 16));
+  }
+}
+
+}  // namespace internal
 
 /// Dense row-major n x d matrix with grow-only per-column min/max.
 class RowMatrix {
@@ -83,10 +100,11 @@ class RowMatrix {
   /// True iff EnableF32Mirror() was called.
   bool has_f32_mirror() const { return f32_mirror_; }
 
-  /// Reserves storage for `n` rows.
+  /// Reserves storage for at least `n` rows, growing the way
+  /// internal::GrowCapacity does (exact on an empty matrix).
   void Reserve(size_t n) {
-    data_.reserve(n * dim_);
-    if (f32_mirror_) f32_.reserve(n * dim_);
+    internal::GrowCapacity(&data_, n * dim_);
+    if (f32_mirror_) internal::GrowCapacity(&f32_, n * dim_);
   }
 
   /// Heap footprint in bytes.

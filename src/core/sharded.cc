@@ -165,6 +165,12 @@ ShardedIndexSet::ShardedIndexSet(std::vector<PlanarIndexSet> shards,
       rows_verified_(
           std::make_unique<std::atomic<uint64_t>[]>(shards_.size())) {
   options_.shards = shards_.size();
+  // Report the precision every shard resolved (off below d' = 8 unless
+  // forced), not the caller's request.
+  if (!shards_.empty()) {
+    options_.set_options.index_options.mixed_precision =
+        shards_[0].options().index_options.mixed_precision;
+  }
 }
 
 Result<ShardedIndexSet> ShardedIndexSet::Build(

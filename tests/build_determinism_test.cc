@@ -66,9 +66,18 @@ void ExpectIdenticalIndices(const PlanarIndexSet& a, const PlanarIndexSet& b) {
     a.index(i).CollectRange(0, a.index(i).size(), &ids_a);
     b.index(i).CollectRange(0, b.index(i).size(), &ids_b);
     EXPECT_EQ(ids_a, ids_b) << "rank order differs in index " << i;
-    for (uint32_t row = 0; row < a.index(i).size(); ++row) {
-      ASSERT_EQ(a.index(i).KeyOf(row), b.index(i).KeyOf(row))
-          << "key of row " << row << " in index " << i;
+    // The stored (key, row) pairs, rank by rank, bit for bit.
+    std::vector<OrderStatisticBTree::Entry> ranked_a;
+    std::vector<OrderStatisticBTree::Entry> ranked_b;
+    a.index(i).ExportRanked(&ranked_a);
+    b.index(i).ExportRanked(&ranked_b);
+    ASSERT_EQ(ranked_a.size(), a.index(i).size());
+    ASSERT_EQ(ranked_b.size(), ranked_a.size());
+    for (size_t r = 0; r < ranked_a.size(); ++r) {
+      ASSERT_EQ(ranked_a[r].key, ranked_b[r].key)
+          << "key at rank " << r << " in index " << i;
+      ASSERT_EQ(ranked_a[r].value, ranked_b[r].value)
+          << "row at rank " << r << " in index " << i;
     }
   }
 }
