@@ -89,6 +89,31 @@ class EytzingerKeys {
     return Search<true>(keys, x);
   }
 
+  /// UpperBound for two probes at once: *rank_x and *rank_y receive the
+  /// ranks UpperBound(keys, x) and UpperBound(keys, y) would return. The
+  /// two descents run interleaved, so their dependent cache misses
+  /// overlap instead of queueing one search behind the other (a query
+  /// plan's SI and LI boundaries).
+  void UpperBoundPair(const double* keys, double x, double y, size_t* rank_x,
+                      size_t* rank_y) const {
+    const double* samples = samples_.data();
+    const size_t blocks = blocks_;
+    size_t kx = 1;
+    size_t ky = 1;
+    while (kx <= blocks && ky <= blocks) {
+      Prefetch(samples + kx * kPrefetchAhead);
+      Prefetch(samples + ky * kPrefetchAhead);
+      kx = 2 * kx + static_cast<size_t>(Before<true>(samples[kx], x));
+      ky = 2 * ky + static_cast<size_t>(Before<true>(samples[ky], y));
+    }
+    // The tree's last level is partial, so one descent may need a step
+    // more than the other.
+    kx = Descend<true>(kx, x);
+    ky = Descend<true>(ky, y);
+    *rank_x = Finish<true>(keys, kx, x);
+    *rank_y = Finish<true>(keys, ky, y);
+  }
+
   /// Heap footprint in bytes.
   size_t MemoryUsage() const {
     return samples_.capacity() * sizeof(double) +
@@ -126,9 +151,14 @@ class EytzingerKeys {
 
   template <bool kUpper>
   size_t Search(const double* keys, double x) const {
+    return Finish<kUpper>(keys, Descend<kUpper>(1, x), x);
+  }
+
+  // Walks from node k down to a leaf position past the tree.
+  template <bool kUpper>
+  size_t Descend(size_t k, double x) const {
     const double* samples = samples_.data();
     const size_t blocks = blocks_;
-    size_t k = 1;
     while (k <= blocks) {
       Prefetch(samples + k * kPrefetchAhead);
       // Descend right iff the sample sorts before the answer: the left
@@ -136,6 +166,13 @@ class EytzingerKeys {
       // comparison writes into the index, not a branch.
       k = 2 * k + static_cast<size_t>(Before<kUpper>(samples[k], x));
     }
+    return k;
+  }
+
+  // Turns a finished descent into the rank.
+  template <bool kUpper>
+  size_t Finish(const double* keys, size_t k, double x) const {
+    const size_t blocks = blocks_;
     // The first sample not before x is the node where the descent last
     // went left: cancel the trailing right-moves (low 1-bits) plus that
     // left-move. k == 0 means every sample is before x. `before` counts

@@ -211,8 +211,7 @@ PlanarIndexSet::Routing PlanarIndexSet::Route(
   // count that would refine is diverted to the flat scan.
   const bool refines =
       kind != RouteKind::kCount || intermediate > tolerance.Allowed(n);
-  route.scan = kind != RouteKind::kTopK && refines &&
-               intermediate > options_.scan_fallback_fraction * n;
+  route.scan = refines && intermediate > options_.scan_fallback_fraction * n;
   return route;
 }
 
@@ -267,7 +266,10 @@ Result<InequalityResult> PlanarIndexSet::Inequality(
     const ScalarProductQuery& q, const Deadline& deadline) const {
   const NormalizedQuery norm = NormalizedQuery::From(q);
   const Routing route = Route(norm, RouteKind::kInequality, CountTolerance());
-  if (route.scan) return ScanInequality(*phi_, q, deadline);
+  if (route.scan) {
+    return ScanInequality(*phi_, q, deadline,
+                          route.ScanResultBound(phi_->size()));
+  }
   Result<InequalityResult> result =
       indices_[static_cast<size_t>(route.index)].ServeInequality(
           norm, route.plan, deadline);

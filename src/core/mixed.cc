@@ -111,86 +111,90 @@ MixedQueryPlan MakeMixedPlanWithEnvelope(const double* a, size_t dim, double b,
   return plan;
 }
 
-size_t MixedResolveBlock(const MixedQueryPlan& plan, const double* a,
-                         size_t dim, double b, const double* rows64,
-                         size_t stride, const uint32_t* ids,
-                         const float* res32, size_t blk, double* decision) {
-  PLANAR_DCHECK(plan.usable && blk <= kernels::kBlockRows);
-  // f32-ok: band compares run in float against the f32 residuals.
-  const float band = plan.band;
-  // Sentinels chosen so CompressAccept's predicate (<= 0 for less_equal,
-  // >= 0 otherwise) passes for sure accepts and fails for sure rejects.
-  const double pass = plan.less_equal ? -1.0 : 1.0;
-  const double fail = -pass;
-  uint32_t band_ids[kernels::kBlockRows];
-  size_t band_pos[kernels::kBlockRows];
-  size_t nband = 0;
-  if (plan.less_equal) {
-    for (size_t i = 0; i < blk; ++i) {
-      const float r = res32[i];
-      const bool sure_accept = r < -band;
-      const bool sure_reject = r > band;
-      decision[i] = sure_accept ? pass : fail;
-      // Compress-collect the band rows (NaN fails both strict compares
-      // and lands here, the conservative side).
-      band_ids[nband] = ids[i];
-      band_pos[nband] = i;
-      nband += static_cast<size_t>(!(sure_accept || sure_reject));
-    }
-  } else {
-    for (size_t i = 0; i < blk; ++i) {
-      const float r = res32[i];
-      const bool sure_accept = r > band;
-      const bool sure_reject = r < -band;
-      decision[i] = sure_accept ? pass : fail;
-      band_ids[nband] = ids[i];
-      band_pos[nband] = i;
-      nband += static_cast<size_t>(!(sure_accept || sure_reject));
-    }
-  }
-  if (nband != 0) {
-    double res64[kernels::kBlockRows];
-    kernels::Ops().dot_gather(a, dim, rows64, stride, band_ids, nband, -b,
-                              res64);
-    for (size_t i = 0; i < nband; ++i) decision[band_pos[i]] = res64[i];
-  }
-  return nband;
+BlockClassifier::BlockClassifier(const double* a, size_t dim, double b,
+                                 bool less_equal, const double* rows,
+                                 const float* rows32, size_t stride,
+                                 const MixedQueryPlan* mixed)
+    : a_(a),
+      dim_(dim),
+      bias_(-b),
+      le_(less_equal),
+      rows_(rows),
+      rows32_(rows32),
+      stride_(stride),
+      mixed_(mixed != nullptr && mixed->usable && rows32 != nullptr ? mixed
+                                                                    : nullptr) {
+  PLANAR_DCHECK(mixed_ == nullptr || mixed_->less_equal == less_equal);
 }
 
-size_t MixedResolveBlockRange(const MixedQueryPlan& plan, const double* a,
-                              size_t dim, double b, const double* rows64,
-                              size_t stride, size_t first_row,
-                              const float* res32, size_t blk,
-                              double* decision) {
-  PLANAR_DCHECK(blk <= kernels::kBlockRows);
+template <typename IdAt>
+void BlockClassifier::Resolve(const IdAt& id_at, const uint64_t* sure,
+                              const uint64_t* band, uint64_t* accept,
+                              double* res) const {
+  using kernels::kMaskWords;
+  // Rows f32 cannot decide go to f64; with residuals requested the sure
+  // accepts do too (a sure reject fails the predicate in f64 as well, by
+  // the band bound, so it never needs a residual).
+  uint64_t open[kMaskWords];
+  for (size_t w = 0; w < kMaskWords; ++w) {
+    open[w] = res != nullptr ? sure[w] | band[w] : band[w];
+    accept[w] = res != nullptr ? 0 : sure[w];
+  }
   uint32_t ids[kernels::kBlockRows];
-  for (size_t i = 0; i < blk; ++i) {
-    ids[i] = static_cast<uint32_t>(first_row + i);
-  }
-  return MixedResolveBlock(plan, a, dim, b, rows64, stride, ids, res32, blk,
-                           decision);
+  uint16_t pos[kernels::kBlockRows];
+  size_t count = 0;
+  kernels::ForEachSetBit(open, [&](size_t i) {
+    ids[count] = id_at(i);
+    pos[count++] = static_cast<uint16_t>(i);
+  });
+  if (count == 0) return;
+  double exact[kernels::kBlockRows];
+  uint64_t hit[kMaskWords];
+  kernels::Ops().classify_gather(a_, dim_, rows_, stride_, ids, count, bias_,
+                                 le_, exact, hit);
+  kernels::ForEachSetBit(hit, [&](size_t j) {
+    const size_t i = pos[j];
+    accept[i / 64] |= uint64_t{1} << (i % 64);
+    if (res != nullptr) res[i] = exact[j];
+  });
 }
 
-size_t MixedFilterPossible(const MixedQueryPlan& plan, const float* res32,
-                           const uint32_t* ids, size_t blk,
-                           uint32_t* possible) {
-  PLANAR_DCHECK(plan.usable);
-  // f32-ok: band compares run in float against the f32 residuals.
-  const float band = plan.band;
-  size_t kept = 0;
-  if (plan.less_equal) {
-    for (size_t i = 0; i < blk; ++i) {
-      possible[kept] = ids[i];
-      // NaN fails the strict compare, so it stays possible.
-      kept += static_cast<size_t>(!(res32[i] > band));
-    }
-  } else {
-    for (size_t i = 0; i < blk; ++i) {
-      possible[kept] = ids[i];
-      kept += static_cast<size_t>(!(res32[i] < -band));
-    }
+void BlockClassifier::Gather(const uint32_t* ids, size_t count,
+                             uint64_t* accept, double* res) const {
+  PLANAR_DCHECK(count <= kernels::kBlockRows);
+  if (mixed_ == nullptr) {
+    double scratch[kernels::kBlockRows];
+    kernels::Ops().classify_gather(a_, dim_, rows_, stride_, ids, count,
+                                   bias_, le_, res != nullptr ? res : scratch,
+                                   accept);
+    return;
   }
-  return kept;
+  uint64_t sure[kernels::kMaskWords];
+  uint64_t band[kernels::kMaskWords];
+  kernels::OpsF32().classify_gather(mixed_->a32.data(), dim_, rows32_,
+                                    stride_, ids, count, mixed_->bias32,
+                                    mixed_->band, le_, sure, band);
+  Resolve([ids](size_t i) { return ids[i]; }, sure, band, accept, res);
+}
+
+void BlockClassifier::Range(size_t first_row, size_t count, uint64_t* accept,
+                            double* res) const {
+  PLANAR_DCHECK(count <= kernels::kBlockRows);
+  if (mixed_ == nullptr) {
+    double scratch[kernels::kBlockRows];
+    kernels::Ops().classify_range(a_, dim_, rows_, stride_, first_row, count,
+                                  bias_, le_, res != nullptr ? res : scratch,
+                                  accept);
+    return;
+  }
+  uint64_t sure[kernels::kMaskWords];
+  uint64_t band[kernels::kMaskWords];
+  kernels::OpsF32().classify_range(mixed_->a32.data(), dim_, rows32_, stride_,
+                                   first_row, count, mixed_->bias32,
+                                   mixed_->band, le_, sure, band);
+  Resolve(
+      [first_row](size_t i) { return static_cast<uint32_t>(first_row + i); },
+      sure, band, accept, res);
 }
 
 }  // namespace planar

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/kernels/kernels.h"
 #include "core/row_matrix.h"
 
 namespace planar {
@@ -83,39 +84,54 @@ MixedQueryPlan MakeMixedPlanWithEnvelope(const double* a, size_t dim, double b,
                                          bool less_equal,
                                          const double* column_abs_max);
 
-/// Resolves one block of `blk` (<= kernels::kBlockRows) candidates whose
-/// f32 residuals are in `res32`: writes a decision-residual array where
-/// sure accepts/rejects become sentinel values (+/-1, chosen to pass or
-/// fail the predicate) and band rows carry their exact f64 residual,
-/// computed with one f64 dot_gather over just those rows. Feeding
-/// `decision` to kernels::CompressAccept then emits exactly the ids, in
-/// exactly the order, of the pure-f64 path. Returns the number of band
-/// rows (the f64 re-verified count). `rows64`/`stride` address the f64
-/// storage; `ids[i]` is the row id of res32[i].
-// f32-ok: f32 residual input to the band classifier.
-size_t MixedResolveBlock(const MixedQueryPlan& plan, const double* a,
-                         size_t dim, double b, const double* rows64,
-                         size_t stride, const uint32_t* ids,
-                         const float* res32, size_t blk, double* decision);
+/// One query's verifier over one row-major row store: the exact f64 rows
+/// and, when `mixed` is a usable plan, their f32 mirror (same layout).
+/// Every verify consumer — the index block driver, the scan loops, the
+/// batch scan group and the ingest delta overlay — classifies its blocks
+/// through this one type and the fused classify kernels behind it
+/// (kernels.h), so each accept decision is the pure-f64 one whichever
+/// path or precision runs it.
+///
+/// With a usable plan a block costs one f32 band classify over every
+/// row, then one f64 classify over just the rows f32 cannot decide (band
+/// rows, plus the sure accepts when exact residuals are requested).
+/// A null or unusable `mixed` runs pure f64. Holds pointers only; `a`,
+/// the rows and the plan must outlive it.
+class BlockClassifier {
+ public:
+  // f32-ok: the mirror rows feed the band classify.
+  BlockClassifier(const double* a, size_t dim, double b, bool less_equal,
+                  const double* rows, const float* rows32, size_t stride,
+                  const MixedQueryPlan* mixed);
 
-/// MixedResolveBlock for consecutive row ids first_row, first_row + 1, ...
-/// (the sequential-scan case).
-// f32-ok: f32 residual input to the band classifier.
-size_t MixedResolveBlockRange(const MixedQueryPlan& plan, const double* a,
-                              size_t dim, double b, const double* rows64,
-                              size_t stride, size_t first_row,
-                              const float* res32, size_t blk,
-                              double* decision);
+  /// Classifies count <= kernels::kBlockRows rows taken by id: bit i of
+  /// `accept` (kernels::kMaskWords words) is set iff row ids[i]
+  /// satisfies the predicate. When `res` is non-null, res[i] holds the
+  /// exact f64 residual <a, row> - b of every accepted row i (other
+  /// entries are unspecified) — what top-k distances need.
+  void Gather(const uint32_t* ids, size_t count, uint64_t* accept,
+              double* res) const;
 
-/// Top-k pre-filter: compress-stores into `possible` the ids of every row
-/// that is NOT a sure reject (sure accepts and band rows alike — top-k
-/// needs exact residuals for everything that might match, so only the
-/// sure-reject side of the band is exploitable). NaN f32 residuals stay
-/// possible. Returns the number of ids stored; order is preserved.
-// f32-ok: f32 residual input to the band classifier.
-size_t MixedFilterPossible(const MixedQueryPlan& plan, const float* res32,
-                           const uint32_t* ids, size_t blk,
-                           uint32_t* possible);
+  /// Gather over rows first_row, first_row + 1, ... (the scan form).
+  void Range(size_t first_row, size_t count, uint64_t* accept,
+             double* res) const;
+
+ private:
+  // Re-verifies in f64 the rows f32 left open and merges the verdicts.
+  template <typename IdAt>
+  void Resolve(const IdAt& id_at, const uint64_t* sure,
+               const uint64_t* band, uint64_t* accept, double* res) const;
+
+  const double* a_;
+  size_t dim_;
+  double bias_;
+  bool le_;
+  const double* rows_;
+  // f32-ok: mirror rows for the band classify.
+  const float* rows32_;
+  size_t stride_;
+  const MixedQueryPlan* mixed_;  // nullptr: pure f64
+};
 
 }  // namespace planar
 

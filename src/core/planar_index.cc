@@ -31,6 +31,11 @@ namespace {
 constexpr double kKeyBracketRel = 0x1p-22;
 constexpr double kKeyBracketAbs = 0x1p-126;
 
+// Rows of the next block Drive prefetches while classifying the
+// current one; the classify kernels prefetch the rest of each block
+// themselves.
+constexpr size_t kPrefetchNextBlockRows = 16;
+
 // Exact signed residual <a, phi_row> - b, computed with the kernel dot so
 // per-row evaluations (top-k walk) agree bit-for-bit with the batched
 // verification blocks.
@@ -402,8 +407,15 @@ Result<PlanarIndex::QueryPlan> PlanarIndex::Plan(
     return plan;
   }
   plan.p = Prepare(q);
-  plan.smaller_end = RankLessEqual(plan.p.low_cut);
-  plan.larger_begin = RankLessEqual(plan.p.high_cut);
+  if (options_.backend == PlanarIndexOptions::Backend::kSortedArray &&
+      !eytz_.empty()) {
+    // Both boundary descents interleaved: their misses overlap.
+    eytz_.UpperBoundPair(keys_.data(), plan.p.low_cut, plan.p.high_cut,
+                         &plan.smaller_end, &plan.larger_begin);
+  } else {
+    plan.smaller_end = RankLessEqual(plan.p.low_cut);
+    plan.larger_begin = RankLessEqual(plan.p.high_cut);
+  }
   PLANAR_DCHECK(plan.smaller_end <= plan.larger_begin);
   // For a <=-query the prefix is accepted and the suffix rejected
   // outright; for a >=-query the roles swap.
@@ -479,11 +491,10 @@ void PlanarIndex::CollectRange(size_t begin, size_t end,
 
 namespace {
 
-// Sinks of the block driver (PlanarIndex::Drive). A sink whose
-// kNeedsResiduals is false consumes accept decisions: with the mixed plan
-// the sure rows arrive as sign sentinels and only band rows carry exact
-// residuals. A sink that needs exact residuals (top-k distances) gets
-// them for every row that is not a sure reject.
+// Sinks of the block driver (PlanarIndex::Drive). Each consumes one
+// block's accept mask (BlockClassifier): bit i covers ids[i]. A sink whose
+// kNeedsResiduals is true also gets the exact f64 residual of every
+// accepted row (top-k distances); the others skip that work.
 
 // Appends accepted ids to *out, which must have capacity for every
 // streamed row (resize within reserved capacity never reallocates).
@@ -491,20 +502,18 @@ class IdSink {
  public:
   static constexpr bool kNeedsResiduals = false;
 
-  IdSink(bool le, std::vector<uint32_t>* out) : le_(le), out_(out) {}
+  explicit IdSink(std::vector<uint32_t>* out) : out_(out) {}
 
   bool Done() const { return false; }
-  void Consume(const uint32_t* ids, size_t count, const double* decision,
-               size_t /*blk*/) {
+  void Consume(const uint32_t* ids, size_t /*blk*/, const uint64_t* accept,
+               const double* /*residuals*/) {
     const size_t old_size = out_->size();
-    out_->resize(old_size + count);
-    const size_t kept = kernels::CompressAccept(decision, ids, count, le_,
-                                                out_->data() + old_size);
-    out_->resize(old_size + kept);
+    out_->resize(old_size + kernels::MaskCount(accept));
+    uint32_t* dst = out_->data() + old_size;
+    kernels::ForEachSetBit(accept, [&](size_t i) { *dst++ = ids[i]; });
   }
 
  private:
-  bool le_;
   std::vector<uint32_t>* out_;
 };
 
@@ -517,24 +526,24 @@ class CountSink {
  public:
   static constexpr bool kNeedsResiduals = false;
 
-  CountSink(bool le, const double* payload, size_t payload_stride,
-            StopFn stop)
-      : le_(le), payload_(payload), stride_(payload_stride), stop_(stop) {}
+  CountSink(const double* payload, size_t payload_stride, StopFn stop)
+      : payload_(payload), stride_(payload_stride), stop_(stop) {}
 
   bool Done() const { return stop_(resolved_); }
-  void Consume(const uint32_t* ids, size_t count, const double* decision,
-               size_t blk) {
-    uint32_t kept_ids[kernels::kBlockRows];
-    const size_t kept =
-        kernels::CompressAccept(decision, ids, count, le_, kept_ids);
-    accepted_ += kept;
+  void Consume(const uint32_t* ids, size_t blk, const uint64_t* accept,
+               const double* /*residuals*/) {
     resolved_ += blk;
-    if (payload_ == nullptr || kept == 0) return;
-    double vals[kernels::kBlockRows];
-    for (size_t i = 0; i < kept; ++i) {
-      vals[i] = payload_[static_cast<size_t>(kept_ids[i]) * stride_];
+    if (payload_ == nullptr) {
+      accepted_ += kernels::MaskCount(accept);
+      return;
     }
-    sum_ += CanonicalBlockedSum(vals, kept);
+    double vals[kernels::kBlockRows];
+    size_t kept = 0;
+    kernels::ForEachSetBit(accept, [&](size_t i) {
+      vals[kept++] = payload_[static_cast<size_t>(ids[i]) * stride_];
+    });
+    accepted_ += kept;
+    if (kept != 0) sum_ += CanonicalBlockedSum(vals, kept);
   }
 
   size_t accepted() const { return accepted_; }
@@ -542,7 +551,6 @@ class CountSink {
   double sum() const { return sum_; }
 
  private:
-  bool le_;
   const double* payload_;
   size_t stride_;
   StopFn stop_;
@@ -556,24 +564,21 @@ class TopKSink {
  public:
   static constexpr bool kNeedsResiduals = true;
 
-  TopKSink(bool le, double norm_a, TopKBuffer* buffer)
-      : le_(le), norm_a_(norm_a), buffer_(buffer) {}
+  TopKSink(double norm_a, TopKBuffer* buffer)
+      : norm_a_(norm_a), buffer_(buffer) {}
 
   bool Done() const { return false; }
-  void Consume(const uint32_t* ids, size_t count, const double* residuals,
-               size_t blk) {
-    for (size_t i = 0; i < count; ++i) {
-      const double residual = residuals[i];
-      const bool match = le_ ? residual <= 0.0 : residual >= 0.0;
-      if (match) buffer_->Insert(ids[i], std::fabs(residual) / norm_a_);
-    }
+  void Consume(const uint32_t* ids, size_t blk, const uint64_t* accept,
+               const double* residuals) {
+    kernels::ForEachSetBit(accept, [&](size_t i) {
+      buffer_->Insert(ids[i], std::fabs(residuals[i]) / norm_a_);
+    });
     verified_ += blk;
   }
 
   size_t verified() const { return verified_; }
 
  private:
-  bool le_;
   double norm_a_;
   TopKBuffer* buffer_;
   size_t verified_ = 0;
@@ -582,53 +587,44 @@ class TopKSink {
 }  // namespace
 
 // The one place that forks between the sorted array and the B+-tree
-// cursor and between the f64 kernels and the f32 mirror. Per block of
-// kernels::kBlockRows rows: one sink poll, one cancellation poll, one
-// batched residual computation. With a usable mixed plan one f32 gather
-// classifies the block against the widened band (DESIGN.md section 5j)
-// and only the rows it cannot decide are evaluated in f64, so every sink
-// sees exactly what the pure-f64 path would give it.
+// cursor. Per block of kernels::kBlockRows rows: one sink poll, one
+// cancellation poll, one BlockClassifier call (f64, or the f32 mirror
+// against the widened band with f64 re-verification of the rows it
+// cannot decide — DESIGN.md section 5j), so every sink sees exactly what
+// the pure-f64 path would give it. On the sorted array the next block's
+// first rows are prefetched before this block is classified.
 template <typename Sink, typename CancelFn>
 bool PlanarIndex::Drive(const NormalizedQuery& q, const MixedQueryPlan& mixed,
                         size_t begin, size_t end, const CancelFn& cancelled,
                         Sink* sink) const {
-  const kernels::DotOps& ops = kernels::Ops();
-  const kernels::DotOpsF32& ops32 = kernels::OpsF32();
-  const double* a = q.a.data();
-  const size_t dim = q.a.size();
-  const double* rows = phi_->data();
-  // f32-ok: read-only mirror; exactness comes from the band + f64
-  // re-verify.
-  const float* rows32 = phi_->f32_data();
-  const size_t stride = phi_->dim();
+  const BlockClassifier classifier(
+      q.a.data(), q.a.size(), q.b, q.cmp == Comparison::kLessEqual,
+      phi_->data(), phi_->f32_data(), phi_->dim(), &mixed);
+  const bool flat =
+      options_.backend == PlanarIndexOptions::Backend::kSortedArray;
+  // The prefetch targets whichever row store the classify reads first.
+  const bool mirror = mixed.usable && phi_->f32_data() != nullptr;
+  const void* first_rows = mirror ? static_cast<const void*>(phi_->f32_data())
+                                  : static_cast<const void*>(phi_->data());
+  // f32-ok: mirror row width for the prefetch.
+  const size_t row_bytes =
+      phi_->dim() * (mirror ? sizeof(float) : sizeof(double));
   RankCursor cursor(*this, begin);
   uint32_t gathered[kernels::kBlockRows];
-  uint32_t possible[kernels::kBlockRows];
+  uint64_t accept[kernels::kMaskWords];
   double residuals[kernels::kBlockRows];
-  // f32-ok: mirror residual block for band classification.
-  float res32[kernels::kBlockRows];
   for (size_t r = begin; r < end; r += kernels::kBlockRows) {
     if (sink->Done()) return true;
     if (cancelled()) return false;
     const size_t blk = std::min(kernels::kBlockRows, end - r);
     const uint32_t* ids = cursor.Take(blk, gathered);
-    const uint32_t* eval = ids;
-    size_t count = blk;
-    if (!mixed.usable) {
-      ops.dot_gather(a, dim, rows, stride, ids, blk, -q.b, residuals);
-    } else {
-      ops32.dot_gather(mixed.a32.data(), dim, rows32, stride, ids, blk,
-                       mixed.bias32, res32);
-      if constexpr (Sink::kNeedsResiduals) {
-        count = MixedFilterPossible(mixed, res32, ids, blk, possible);
-        eval = possible;
-        ops.dot_gather(a, dim, rows, stride, eval, count, -q.b, residuals);
-      } else {
-        MixedResolveBlock(mixed, a, dim, q.b, rows, stride, ids, res32, blk,
-                          residuals);
-      }
+    if (flat && r + blk < end) {
+      kernels::PrefetchRows(first_rows, row_bytes, ids_.data() + r + blk,
+                            std::min(kPrefetchNextBlockRows, end - r - blk));
     }
-    sink->Consume(eval, count, residuals, blk);
+    classifier.Gather(ids, blk, accept,
+                      Sink::kNeedsResiduals ? residuals : nullptr);
+    sink->Consume(ids, blk, accept, residuals);
   }
   return true;
 }
@@ -649,7 +645,7 @@ bool PlanarIndex::VerifyIds(const NormalizedQuery& q, const QueryPlan& plan,
   const MixedQueryPlan mixed = MixedPlanFor(q);
   size_t threads = options_.parallel_verify_threads;
   if (threads == 1 || count < kParallelVerifyMinRows) {
-    IdSink sink(plan.le, out);
+    IdSink sink(out);
     return Drive(q, mixed, plan.smaller_end, plan.larger_begin,
                  [&deadline] { return deadline.Expired(); }, &sink);
   }
@@ -677,7 +673,7 @@ bool PlanarIndex::VerifyIds(const NormalizedQuery& q, const QueryPlan& plan,
         if (begin >= end) return;
         std::vector<uint32_t>& local = chunk_out[c];
         local.reserve(end - begin);
-        IdSink sink(plan.le, &local);
+        IdSink sink(&local);
         auto cancelled = [&] {
           // relaxed-ok: advisory fast-exit flag; the post-join load
           // is the authoritative answer (see the comment at the
@@ -779,7 +775,7 @@ Result<CountResult> PlanarIndex::ServeCount(const NormalizedQuery& q,
     // as the unresolved remainder fits the tolerance (never, at 0).
     // Refinement always runs serially: the early stop is a running prefix
     // over rank order, which chunking would reorder.
-    CountSink sink(plan.le, nullptr, 0,
+    CountSink sink(nullptr, 0,
                    [ii, allowed](size_t done) { return ii - done <= allowed; });
     if (!Drive(q, MixedPlanFor(q), plan.smaller_end, plan.larger_begin,
                [&deadline] { return deadline.Expired(); }, &sink)) {
@@ -856,7 +852,7 @@ Result<AggregateResult> PlanarIndex::ServeAggregate(
   // tolerance. The suffix envelope is a prefix-array difference, so the
   // stop predicate is O(1) per poll.
   CountSink sink(
-      plan.le, phi_->data() + static_cast<size_t>(options_.payload_column),
+      phi_->data() + static_cast<size_t>(options_.payload_column),
       phi_->dim(), [&pre, se, lb, allowed](size_t done) {
         const size_t r = se + done;
         return (pre.pos[lb] - pre.pos[r]) - (pre.neg[lb] - pre.neg[r]) <=
@@ -932,7 +928,7 @@ Result<TopKResult> PlanarIndex::ServeTopK(const NormalizedQuery& q,
   // band, so the inserted (id, distance) sequence — and therefore the heap
   // state and final neighbors — is identical.
   const MixedQueryPlan mixed = MixedPlanFor(q);
-  TopKSink sink(le, norm_a, &buffer);
+  TopKSink sink(norm_a, &buffer);
   if (!Drive(q, mixed, plan.smaller_end, plan.larger_begin,
              [&deadline] { return deadline.Expired(); }, &sink)) {
     return deadline_status;

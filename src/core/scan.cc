@@ -16,50 +16,132 @@ namespace planar {
 
 namespace {
 
-// Mixed-precision body of ScanTopK: rows the f32 residual proves strictly
-// outside the band on the reject side can never match, so only the
-// remaining "possible" rows get the exact f64 residual. Every offered
-// (id, distance) pair is computed in f64, so the buffer contents are
-// bit-identical to the pure f64 scan.
-Status ScanRowsTopKMixed(const PhiMatrix& phi, const ScalarProductQuery& q,
-                         const MixedQueryPlan& plan, const Deadline& deadline,
-                         TopKBuffer* buffer) {
-  const size_t n = phi.size();
-  const size_t dim = phi.dim();
-  const double norm_a = Norm(q.a);
-  PLANAR_CHECK(norm_a > 0.0);  // caller validated the query normal
-  const bool le = q.cmp == Comparison::kLessEqual;
-  const kernels::DotOps& ops = kernels::Ops();
-  const kernels::DotOpsF32& ops32 = kernels::OpsF32();
-  // f32-ok: mirror rows and residuals for the band classification.
-  const float* rows32 = phi.f32_data();
-  float res32[kernels::kBlockRows];
-  uint32_t ids[kernels::kBlockRows];
-  uint32_t possible[kernels::kBlockRows];
-  double residuals[kernels::kBlockRows];
-  for (size_t row = 0; row < n; row += kernels::kBlockRows) {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded(
-          "sequential top-k scan exceeded its deadline");
-    }
-    const size_t blk = std::min(kernels::kBlockRows, n - row);
-    ops32.dot_range(plan.a32.data(), dim, rows32, dim, row, blk, plan.bias32,
-                    res32);
-    for (size_t i = 0; i < blk; ++i) {
-      ids[i] = static_cast<uint32_t>(row + i);
-    }
-    const size_t count = MixedFilterPossible(plan, res32, ids, blk, possible);
-    ops.dot_gather(q.a.data(), dim, phi.data(), dim, possible, count, -q.b,
-                   residuals);
-    for (size_t i = 0; i < count; ++i) {
-      const double residual = residuals[i];
-      const bool match = le ? residual <= 0.0 : residual >= 0.0;
-      if (match) {
-        buffer->Insert(possible[i], std::fabs(residual) / norm_a);
-      }
-    }
+using kernels::kBlockRows;
+using kernels::kMaskWords;
+
+constexpr char kScanDeadlineMsg[] = "sequential scan exceeded its deadline";
+constexpr char kTopKScanDeadlineMsg[] =
+    "sequential top-k scan exceeded its deadline";
+
+// The one scan loop: rows [0, count) of the classifier's row store, one
+// range-form BlockClassifier call and one deadline poll per block, each
+// block's accept mask (plus, with kResiduals, the exact residuals of its
+// accepted rows) handed to fn(first_row, accept, residuals).
+template <bool kResiduals, typename Fn>
+Status ScanBlocks(const BlockClassifier& classifier, size_t count,
+                  const Deadline& deadline, const char* deadline_msg,
+                  Fn&& fn) {
+  uint64_t accept[kMaskWords];
+  double residuals[kBlockRows];
+  for (size_t row = 0; row < count; row += kBlockRows) {
+    if (deadline.Expired()) return Status::DeadlineExceeded(deadline_msg);
+    const size_t blk = std::min(kBlockRows, count - row);
+    classifier.Range(row, blk, accept, kResiduals ? residuals : nullptr);
+    fn(row, accept, residuals);
   }
   return Status::OK();
+}
+
+// Appends id_offset + row for every accepted row, in row order.
+Result<size_t> AppendMatches(const BlockClassifier& classifier, size_t count,
+                             uint32_t id_offset, const Deadline& deadline,
+                             std::vector<uint32_t>* out) {
+  PLANAR_CHECK(out != nullptr);
+  const size_t before = out->size();
+  PLANAR_RETURN_IF_ERROR(ScanBlocks<false>(
+      classifier, count, deadline, kScanDeadlineMsg,
+      [&](size_t row, const uint64_t* accept, const double* /*res*/) {
+        const size_t old_size = out->size();
+        out->resize(old_size + kernels::MaskCount(accept));
+        uint32_t* dst = out->data() + old_size;
+        const uint32_t first = id_offset + static_cast<uint32_t>(row);
+        kernels::ForEachSetBit(accept, [&](size_t i) {
+          *dst++ = first + static_cast<uint32_t>(i);
+        });
+      }));
+  return out->size() - before;
+}
+
+Result<size_t> CountMatches(const BlockClassifier& classifier, size_t count,
+                            const Deadline& deadline) {
+  size_t total = 0;
+  PLANAR_RETURN_IF_ERROR(ScanBlocks<false>(
+      classifier, count, deadline, kScanDeadlineMsg,
+      [&](size_t /*row*/, const uint64_t* accept, const double* /*res*/) {
+        total += kernels::MaskCount(accept);
+      }));
+  return total;
+}
+
+// Adds the match count and the payload total of the accepted rows,
+// per block through the canonical blocked summation.
+Status SumMatches(const BlockClassifier& classifier, const double* rows,
+                  size_t dim, size_t count, int payload_column,
+                  const Deadline& deadline, size_t* matched, double* sum) {
+  PLANAR_CHECK(matched != nullptr && sum != nullptr);
+  PLANAR_CHECK(payload_column >= 0 &&
+               static_cast<size_t>(payload_column) < dim);
+  const double* payload = rows + static_cast<size_t>(payload_column);
+  return ScanBlocks<false>(
+      classifier, count, deadline, kScanDeadlineMsg,
+      [&](size_t row, const uint64_t* accept, const double* /*res*/) {
+        double vals[kBlockRows];
+        size_t kept = 0;
+        kernels::ForEachSetBit(accept, [&](size_t i) {
+          vals[kept++] = payload[(row + i) * dim];
+        });
+        *matched += kept;
+        // agg-ok: per-block payload totals go through the canonical
+        // helper and accumulate in row order — the same determinism rule
+        // as the index refinement path.
+        if (kept != 0) *sum += CanonicalBlockedSum(vals, kept);
+      });
+}
+
+// Offers every accepted row to the top-k buffer at its exact hyperplane
+// distance |residual| / ||a||.
+Status OfferMatches(const BlockClassifier& classifier, size_t count,
+                    uint32_t id_offset, const ScalarProductQuery& q,
+                    const Deadline& deadline, TopKBuffer* buffer) {
+  PLANAR_CHECK(buffer != nullptr);
+  const double norm_a = Norm(q.a);
+  PLANAR_CHECK(norm_a > 0.0);  // caller validated the query normal
+  return ScanBlocks<true>(
+      classifier, count, deadline, kTopKScanDeadlineMsg,
+      [&](size_t row, const uint64_t* accept, const double* residuals) {
+        const uint32_t first = id_offset + static_cast<uint32_t>(row);
+        kernels::ForEachSetBit(accept, [&](size_t i) {
+          buffer->Insert(first + static_cast<uint32_t>(i),
+                         std::fabs(residuals[i]) / norm_a);
+        });
+      });
+}
+
+// Pure-f64 classifier over caller-owned rows.
+BlockClassifier F64Classifier(const double* rows, size_t dim,
+                              const ScalarProductQuery& q) {
+  PLANAR_CHECK_EQ(dim, q.a.size());
+  return BlockClassifier(q.a.data(), dim, q.b,
+                         q.cmp == Comparison::kLessEqual, rows, nullptr, dim,
+                         nullptr);
+}
+
+// The mixed plan a full-matrix scan of `phi` runs with: usable only when
+// the matrix carries an f32 mirror and the band is sound.
+MixedQueryPlan ScanPlan(const PhiMatrix& phi, const ScalarProductQuery& q) {
+  if (phi.f32_data() == nullptr) return MixedQueryPlan();
+  return MakeMixedPlan(q.a.data(), phi.dim(), q.b,
+                       q.cmp == Comparison::kLessEqual, phi);
+}
+
+// Classifier over the whole matrix, on the mirror when `plan` is usable.
+BlockClassifier MatrixClassifier(const PhiMatrix& phi,
+                                 const ScalarProductQuery& q,
+                                 const MixedQueryPlan& plan) {
+  PLANAR_CHECK_EQ(phi.dim(), q.a.size());
+  return BlockClassifier(q.a.data(), phi.dim(), q.b,
+                         q.cmp == Comparison::kLessEqual, phi.data(),
+                         phi.f32_data(), phi.dim(), &plan);
 }
 
 }  // namespace
@@ -69,29 +151,13 @@ Result<size_t> ScanRowsInequality(const double* rows, size_t dim, size_t count,
                                   const ScalarProductQuery& q,
                                   const Deadline& deadline,
                                   std::vector<uint32_t>* out) {
-  PLANAR_CHECK_EQ(dim, q.a.size());
-  PLANAR_CHECK(out != nullptr);
-  const size_t before = out->size();
-  const bool le = q.cmp == Comparison::kLessEqual;
-  const kernels::DotOps& ops = kernels::Ops();
-  double residuals[kernels::kBlockRows];
-  uint32_t accepted[kernels::kBlockRows];
-  for (size_t row = 0; row < count; row += kernels::kBlockRows) {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded("sequential scan exceeded its deadline");
-    }
-    const size_t blk = std::min(kernels::kBlockRows, count - row);
-    ops.dot_range(q.a.data(), dim, rows, dim, row, blk, -q.b, residuals);
-    const size_t kept = kernels::CompressAcceptRange(
-        residuals, id_offset + static_cast<uint32_t>(row), blk, le, accepted);
-    out->insert(out->end(), accepted, accepted + kept);
-  }
-  return out->size() - before;
+  return AppendMatches(F64Classifier(rows, dim, q), count, id_offset,
+                       deadline, out);
 }
 
 // f32-ok: the f32 rows are a screening mirror only — every row the f32
 // pass cannot place outside the widened band is re-verified against the
-// exact f64 rows below, so answers stay bit-equal to the f64-only scan.
+// exact f64 rows, so answers stay bit-equal to the f64-only scan.
 Result<size_t> ScanRowsInequalityMixed(const double* rows64,
                                        const float* rows32, size_t dim,
                                        size_t count, uint32_t id_offset,
@@ -100,55 +166,18 @@ Result<size_t> ScanRowsInequalityMixed(const double* rows64,
                                        const Deadline& deadline,
                                        std::vector<uint32_t>* out) {
   PLANAR_CHECK_EQ(dim, q.a.size());
-  PLANAR_CHECK(out != nullptr && plan.usable);
-  // The f32 mirror classifies each block against the widened band, the
-  // band rows are re-verified in f64 by MixedResolveBlockRange, and the
-  // compress-store consumes the resulting sentinel/residual array — so
-  // the accepted ids (and their order) are bit-identical to the pure f64
-  // ScanRowsInequality.
-  const size_t before = out->size();
-  const bool le = q.cmp == Comparison::kLessEqual;
-  const kernels::DotOpsF32& ops32 = kernels::OpsF32();
-  // f32-ok: mirror residuals for the band classification.
-  float res32[kernels::kBlockRows];
-  double decision[kernels::kBlockRows];
-  uint32_t accepted[kernels::kBlockRows];
-  for (size_t row = 0; row < count; row += kernels::kBlockRows) {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded("sequential scan exceeded its deadline");
-    }
-    const size_t blk = std::min(kernels::kBlockRows, count - row);
-    ops32.dot_range(plan.a32.data(), dim, rows32, dim, row, blk, plan.bias32,
-                    res32);
-    MixedResolveBlockRange(plan, q.a.data(), dim, q.b, rows64, dim, row,
-                           res32, blk, decision);
-    const size_t kept = kernels::CompressAcceptRange(
-        decision, id_offset + static_cast<uint32_t>(row), blk, le, accepted);
-    out->insert(out->end(), accepted, accepted + kept);
-  }
-  return out->size() - before;
+  PLANAR_CHECK(plan.usable);
+  const BlockClassifier classifier(q.a.data(), dim, q.b,
+                                   q.cmp == Comparison::kLessEqual, rows64,
+                                   rows32, dim, &plan);
+  return AppendMatches(classifier, count, id_offset, deadline, out);
 }
 
 Result<size_t> ScanRowsCountInequality(const double* rows, size_t dim,
                                        size_t count,
                                        const ScalarProductQuery& q,
                                        const Deadline& deadline) {
-  PLANAR_CHECK_EQ(dim, q.a.size());
-  const bool le = q.cmp == Comparison::kLessEqual;
-  const kernels::DotOps& ops = kernels::Ops();
-  double residuals[kernels::kBlockRows];
-  uint32_t accepted[kernels::kBlockRows];
-  size_t total = 0;
-  for (size_t row = 0; row < count; row += kernels::kBlockRows) {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded("sequential scan exceeded its deadline");
-    }
-    const size_t blk = std::min(kernels::kBlockRows, count - row);
-    ops.dot_range(q.a.data(), dim, rows, dim, row, blk, -q.b, residuals);
-    total += kernels::CompressAcceptRange(
-        residuals, static_cast<uint32_t>(row), blk, le, accepted);
-  }
-  return total;
+  return CountMatches(F64Classifier(rows, dim, q), count, deadline);
 }
 
 Status ScanRowsAggregateInequality(const double* rows, size_t dim,
@@ -156,65 +185,15 @@ Status ScanRowsAggregateInequality(const double* rows, size_t dim,
                                    const ScalarProductQuery& q,
                                    const Deadline& deadline, size_t* matched,
                                    double* sum) {
-  PLANAR_CHECK_EQ(dim, q.a.size());
-  PLANAR_CHECK(matched != nullptr && sum != nullptr);
-  PLANAR_CHECK(payload_column >= 0 && static_cast<size_t>(payload_column) <
-                                          dim);
-  const double* payload = rows + static_cast<size_t>(payload_column);
-  const bool le = q.cmp == Comparison::kLessEqual;
-  const kernels::DotOps& ops = kernels::Ops();
-  double residuals[kernels::kBlockRows];
-  uint32_t accepted[kernels::kBlockRows];
-  double vals[kernels::kBlockRows];
-  for (size_t row = 0; row < count; row += kernels::kBlockRows) {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded("sequential scan exceeded its deadline");
-    }
-    const size_t blk = std::min(kernels::kBlockRows, count - row);
-    ops.dot_range(q.a.data(), dim, rows, dim, row, blk, -q.b, residuals);
-    const size_t kept = kernels::CompressAcceptRange(
-        residuals, static_cast<uint32_t>(row), blk, le, accepted);
-    *matched += kept;
-    if (kept != 0) {
-      for (size_t i = 0; i < kept; ++i) {
-        vals[i] = payload[static_cast<size_t>(accepted[i]) * dim];
-      }
-      // agg-ok: per-block payload totals go through the canonical helper
-      // and accumulate in row order — the same determinism rule as the
-      // index refinement path.
-      *sum += CanonicalBlockedSum(vals, kept);
-    }
-  }
-  return Status::OK();
+  return SumMatches(F64Classifier(rows, dim, q), rows, dim, count,
+                    payload_column, deadline, matched, sum);
 }
 
 Status ScanRowsTopK(const double* rows, size_t dim, size_t count,
                     uint32_t id_offset, const ScalarProductQuery& q,
                     const Deadline& deadline, TopKBuffer* buffer) {
-  PLANAR_CHECK_EQ(dim, q.a.size());
-  PLANAR_CHECK(buffer != nullptr);
-  const double norm_a = Norm(q.a);
-  PLANAR_CHECK(norm_a > 0.0);  // caller validated the query normal
-  const bool le = q.cmp == Comparison::kLessEqual;
-  const kernels::DotOps& ops = kernels::Ops();
-  double residuals[kernels::kBlockRows];
-  for (size_t row = 0; row < count; row += kernels::kBlockRows) {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded(
-          "sequential top-k scan exceeded its deadline");
-    }
-    const size_t blk = std::min(kernels::kBlockRows, count - row);
-    ops.dot_range(q.a.data(), dim, rows, dim, row, blk, -q.b, residuals);
-    for (size_t i = 0; i < blk; ++i) {
-      const double residual = residuals[i];
-      const bool match = le ? residual <= 0.0 : residual >= 0.0;
-      if (match) {
-        buffer->Insert(id_offset + static_cast<uint32_t>(row + i),
-                       std::fabs(residual) / norm_a);
-      }
-    }
-  }
-  return Status::OK();
+  return OfferMatches(F64Classifier(rows, dim, q), count, id_offset, q,
+                      deadline, buffer);
 }
 
 InequalityResult ScanInequality(const PhiMatrix& phi,
@@ -227,36 +206,27 @@ InequalityResult ScanInequality(const PhiMatrix& phi,
 
 Result<InequalityResult> ScanInequality(const PhiMatrix& phi,
                                         const ScalarProductQuery& q,
-                                        const Deadline& deadline) {
+                                        const Deadline& deadline,
+                                        size_t result_bound) {
   PLANAR_CHECK_EQ(phi.dim(), q.a.size());
   InequalityResult result;
   const size_t n = phi.size();
   result.stats.num_points = n;
   result.stats.verified = n;
   result.stats.index_used = -1;
-  // Worst case up front (every row matches), like the index II paths:
-  // one allocation per query instead of log2(result) geometric regrowths,
-  // each of which copies the whole accumulated id vector. On near-total
-  // selectivity scans the regrowth copies cost more than a block's
-  // residual kernel (see the micro-bench note in bench/bench_micro.cc).
-  result.ids.reserve(n);
-  // Batched over contiguous rows: per block, one deadline poll, one
-  // kernel call for the residuals, one branch-light compress-store of the
-  // matching row ids (shared with the ingest delta overlay via the raw
-  // helper above). With a live f32 mirror the block residuals come from
-  // the mixed band classification instead (same ids, same order).
-  const MixedQueryPlan plan =
-      phi.f32_data() != nullptr
-          ? MakeMixedPlan(q.a.data(), phi.dim(), q.b,
-                          q.cmp == Comparison::kLessEqual, phi)
-          : MixedQueryPlan();
-  Result<size_t> appended =
-      plan.usable
-          ? ScanRowsInequalityMixed(phi.data(), phi.f32_data(), phi.dim(), n,
-                                    /*id_offset=*/0, q, plan, deadline,
-                                    &result.ids)
-          : ScanRowsInequality(phi.data(), phi.dim(), n, /*id_offset=*/0, q,
-                               deadline, &result.ids);
+  // Worst case up front (every row the bound allows matches), like the
+  // index II paths: one allocation per query instead of log2(result)
+  // geometric regrowths, each of which copies the whole accumulated id
+  // vector. The blocks append by resize, so a bound that undershoots
+  // costs a regrowth, never a wrong answer.
+  result.ids.reserve(std::min(n, result_bound));
+  // Per block: one deadline poll, one fused classify (on the f32 mirror
+  // against the widened band when the matrix carries one — same ids,
+  // same order), one walk of the accept mask.
+  const MixedQueryPlan plan = ScanPlan(phi, q);
+  Result<size_t> appended = AppendMatches(MatrixClassifier(phi, q, plan), n,
+                                          /*id_offset=*/0, deadline,
+                                          &result.ids);
   if (!appended.ok()) return appended.status();
   result.stats.result_size = result.ids.size();
   return result;
@@ -265,14 +235,14 @@ Result<InequalityResult> ScanInequality(const PhiMatrix& phi,
 Result<CountResult> ScanCountInequality(const PhiMatrix& phi,
                                         const ScalarProductQuery& q,
                                         const Deadline& deadline) {
-  PLANAR_CHECK_EQ(phi.dim(), q.a.size());
   CountResult result;
   const size_t n = phi.size();
   result.stats.num_points = n;
   result.stats.verified = n;
   result.stats.index_used = -1;
+  const MixedQueryPlan plan = ScanPlan(phi, q);
   Result<size_t> matched =
-      ScanRowsCountInequality(phi.data(), phi.dim(), n, q, deadline);
+      CountMatches(MatrixClassifier(phi, q, plan), n, deadline);
   if (!matched.ok()) return matched.status();
   result.lower = result.upper = result.estimate = matched.value();
   result.exact = true;
@@ -297,8 +267,10 @@ Result<AggregateResult> ScanAggregateInequality(const PhiMatrix& phi,
   result.count.stats.index_used = -1;
   size_t total = 0;
   double sum = 0.0;
-  const Status scanned = ScanRowsAggregateInequality(
-      phi.data(), phi.dim(), n, payload_column, q, deadline, &total, &sum);
+  const MixedQueryPlan plan = ScanPlan(phi, q);
+  const Status scanned =
+      SumMatches(MatrixClassifier(phi, q, plan), phi.data(), phi.dim(), n,
+                 payload_column, deadline, &total, &sum);
   if (!scanned.ok()) return scanned;
   result.count.lower = result.count.upper = result.count.estimate = total;
   result.count.exact = true;
@@ -335,16 +307,12 @@ Result<TopKResult> ScanTopK(const PhiMatrix& phi, const ScalarProductQuery& q,
   // Clamp the reservation by n: a huge k must not allocate past the
   // candidate count (see TopKBuffer).
   TopKBuffer buffer(k, n);
-  const MixedQueryPlan plan =
-      phi.f32_data() != nullptr
-          ? MakeMixedPlan(q.a.data(), phi.dim(), q.b,
-                          q.cmp == Comparison::kLessEqual, phi)
-          : MixedQueryPlan();
-  Status scan = plan.usable
-                    ? ScanRowsTopKMixed(phi, q, plan, deadline, &buffer)
-                    : ScanRowsTopK(phi.data(), phi.dim(), n, /*id_offset=*/0,
-                                   q, deadline, &buffer);
-  if (!scan.ok()) return scan;
+  // On the mirror only the rows f32 cannot reject get an exact f64
+  // residual; every offered (id, distance) pair is the f64 one, so the
+  // buffer contents equal the pure f64 scan's.
+  const MixedQueryPlan plan = ScanPlan(phi, q);
+  PLANAR_RETURN_IF_ERROR(OfferMatches(MatrixClassifier(phi, q, plan), n,
+                                      /*id_offset=*/0, q, deadline, &buffer));
   result.neighbors = buffer.TakeSorted();
   return result;
 }

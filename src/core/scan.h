@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/deadline.h"
@@ -23,9 +24,10 @@ namespace planar {
 
 /// Scan-verifies `count` row-major rows of width `dim` starting at `rows`,
 /// appending the id `id_offset + i` of every row i that satisfies `q` to
-/// `*out`. The block-at-a-time kernel loop is the one behind
-/// ScanInequality, so the accept decision per row is bit-identical to the
-/// full-matrix scan and the index verification paths. Exposed raw so the
+/// `*out`. Every ScanRows* helper and the full-matrix scans below run the
+/// same block loop through BlockClassifier (core/mixed.h) and its fused
+/// classify kernels, so the accept decision per row is bit-identical to
+/// the full-matrix scan and the index verification paths. Exposed raw so the
 /// ingest delta overlay (src/ingest) can verify not-yet-merged rows
 /// against the same predicate; returns the number of ids appended, or
 /// kDeadlineExceeded (polled per block).
@@ -54,8 +56,8 @@ Result<size_t> ScanRowsInequalityMixed(const double* rows64,
 
 /// Counting twin of ScanRowsInequality: returns how many of the `count`
 /// rows satisfy `q` without materializing ids — same block cadence, same
-/// accept predicate (through the same CompressAccept kernel), so the
-/// count is bit-equal to ScanRowsInequality(...)'s appended size. Used
+/// accept masks (popcounted instead of walked), so the count is
+/// bit-equal to ScanRowsInequality(...)'s appended size. Used
 /// by the COUNT fast path's scan fallback and the ingest delta overlay.
 Result<size_t> ScanRowsCountInequality(const double* rows, size_t dim,
                                        size_t count,
@@ -91,14 +93,19 @@ InequalityResult ScanInequality(const PhiMatrix& phi,
 /// Deadline-aware variant: the scan polls `deadline` every
 /// kDeadlineCheckInterval rows and fails with kDeadlineExceeded, so the
 /// scan fallback honors the same per-request budget as the index paths.
-Result<InequalityResult> ScanInequality(const PhiMatrix& phi,
-                                        const ScalarProductQuery& q,
-                                        const Deadline& deadline);
+/// `result_bound`, when the caller knows one (a routing plan's
+/// accepted() + ii()), caps the up-front id reservation below n; an
+/// undershooting bound only costs a regrowth. With an f32 mirror on
+/// `phi` the scan classifies on it (same ids, same order).
+Result<InequalityResult> ScanInequality(
+    const PhiMatrix& phi, const ScalarProductQuery& q,
+    const Deadline& deadline,
+    size_t result_bound = std::numeric_limits<size_t>::max());
 
 /// Exact COUNT by full scan: the baseline CountInequality is benched and
 /// property-tested against. Always exact (lower == upper == estimate);
 /// stats mirror the scan fallback of ScanInequality (verified = n,
-/// index_used = -1).
+/// index_used = -1). Runs on the f32 mirror when `phi` carries one.
 Result<CountResult> ScanCountInequality(const PhiMatrix& phi,
                                         const ScalarProductQuery& q,
                                         const Deadline& deadline);

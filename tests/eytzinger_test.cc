@@ -7,7 +7,7 @@
 // multiple of the stride, ±infinity and NaN probes, probes equal to a
 // sampled key — for probes drawn from the array, between its elements,
 // and far outside. The sampled layout must also stay under one byte per
-// key.
+// key. UpperBoundPair must agree with two std::upper_bound calls.
 
 #include "core/eytzinger.h"
 
@@ -217,6 +217,38 @@ TEST(EytzingerTest, InfiniteAndNanProbesOnRaggedSizes) {
     for (const double x : {-inf, inf, nan}) {
       EXPECT_EQ(eytz.LowerBound(keys.data(), x), StdLower(keys, x)) << n;
       EXPECT_EQ(eytz.UpperBound(keys.data(), x), StdUpper(keys, x)) << n;
+    }
+  }
+}
+
+TEST(EytzingerTest, UpperBoundPairMatchesStd) {
+  // The interleaved two-probe descent (a query plan's SI and LI
+  // boundaries) against two std::upper_bound calls: ragged sizes, equal
+  // probes, probes whose descents end at different depths, and NaN and
+  // infinite probes on either side.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(404);
+  for (size_t n : {64u, 65u, 100u, 1000u, 4097u, 5000u}) {
+    std::vector<double> keys(n);
+    for (double& k : keys) k = std::floor(rng.Uniform(-50.0, 50.0));
+    std::sort(keys.begin(), keys.end());
+    EytzingerKeys eytz;
+    eytz.Build(keys.data(), keys.size());
+    std::vector<double> probes = {-inf, inf, nan, keys.front(), keys.back(),
+                                  -1e9, 1e9};
+    for (int i = 0; i < 40; ++i) {
+      probes.push_back(keys[static_cast<size_t>(rng.UniformInt(n))]);
+      probes.push_back(rng.Uniform(-60.0, 60.0));
+    }
+    for (const double x : probes) {
+      for (const double y : probes) {
+        size_t rx = 0;
+        size_t ry = 0;
+        eytz.UpperBoundPair(keys.data(), x, y, &rx, &ry);
+        ASSERT_EQ(rx, StdUpper(keys, x)) << "n=" << n << " x=" << x;
+        ASSERT_EQ(ry, StdUpper(keys, y)) << "n=" << n << " y=" << y;
+      }
     }
   }
 }

@@ -68,9 +68,11 @@ TEST(IndexSetQueryTest, MatchesScanAcrossQueries) {
   PhiMatrix data = RandomPhi(500, 3, 1.0, 100.0, 45);
   PhiMatrix copy(3);
   for (size_t i = 0; i < data.size(); ++i) copy.AppendRow(data.row(i));
+  // Pinned to the index route: this test asserts index-served stats.
+  IndexSetOptions options = WithBudget(8);
+  options.scan_fallback_fraction = 1.0;
   auto set = PlanarIndexSet::Build(std::move(copy),
-                                   PositiveDomains(3, 1.0, 8.0),
-                                   WithBudget(8));
+                                   PositiveDomains(3, 1.0, 8.0), options);
   ASSERT_TRUE(set.ok());
   Rng rng(46);
   for (int trial = 0; trial < 20; ++trial) {

@@ -86,6 +86,8 @@ TEST(ConsumptionIntegrationTest, PowerFactorWorkloadMatchesScan) {
   PowerFactorWorkload workload(0.1, 1.0, /*seed=*/5);
   IndexSetOptions options;
   options.budget = 25;
+  // Pinned to the index route: the loop asserts index-served stats.
+  options.scan_fallback_fraction = 1.0;
   auto set = PlanarIndexSet::Build(std::move(phi), workload.Domains(),
                                    options);
   ASSERT_TRUE(set.ok());
