@@ -4,10 +4,11 @@
 // PlanarIndexSet::BatchInequality (core/index_set.h, implemented in
 // batch.cc): queries are grouped by their selected index, their
 // intermediate intervals are coalesced — overlapping rank ranges merged —
-// and every merged range is streamed exactly once through the multi-query
-// kernels (kernels::dot_block_many), so phi rows demanded by several
-// queries are read from memory once instead of once per query. Answers
-// are bit-identical to the serial Inequality path.
+// and every merged range is walked exactly once, block by block, with
+// every query whose interval covers a block classifying it in turn, so
+// phi rows demanded by several queries are read from memory once instead
+// of once per query. Answers are bit-identical to the serial Inequality
+// path.
 
 #ifndef PLANAR_CORE_BATCH_H_
 #define PLANAR_CORE_BATCH_H_

@@ -136,44 +136,11 @@ TEST(MixedKernels, DispatchMatchesScalarReference) {
     std::vector<float> a(dim);
     for (float& v : rows) v = static_cast<float>(rng.Uniform(-50.0, 50.0));
     for (float& v : a) v = static_cast<float>(rng.Uniform(-4.0, 4.0));
-    const float bias = static_cast<float>(rng.Uniform(-10.0, 10.0));
-    std::vector<uint32_t> ids;
-    for (size_t i = 0; i < n; i += 3) ids.push_back(static_cast<uint32_t>(i));
 
     for (size_t i = 0; i < n; i += 37) {
       EXPECT_EQ(Bits32(ops.dot_one(a.data(), rows.data() + i * dim, dim)),
                 Bits32(ref.dot_one(a.data(), rows.data() + i * dim, dim)))
           << "dim=" << dim << " row=" << i;
-    }
-    std::vector<float> got(n), want(n);
-    ops.dot_range(a.data(), dim, rows.data(), dim, 1, n - 1, bias,
-                  got.data());
-    ref.dot_range(a.data(), dim, rows.data(), dim, 1, n - 1, bias,
-                  want.data());
-    for (size_t i = 0; i + 1 < n; ++i) {
-      EXPECT_EQ(Bits32(got[i]), Bits32(want[i])) << "dim=" << dim;
-    }
-    ops.dot_gather(a.data(), dim, rows.data(), dim, ids.data(), ids.size(),
-                   bias, got.data());
-    ref.dot_gather(a.data(), dim, rows.data(), dim, ids.data(), ids.size(),
-                   bias, want.data());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      EXPECT_EQ(Bits32(got[i]), Bits32(want[i])) << "dim=" << dim;
-    }
-    // Three queries exercises both the paired and the odd-tail paths of
-    // the blocked many-query kernel.
-    std::vector<float> a2(dim), a3(dim);
-    for (float& v : a2) v = static_cast<float>(rng.Uniform(-4.0, 4.0));
-    for (float& v : a3) v = static_cast<float>(rng.Uniform(-4.0, 4.0));
-    const float* qs[3] = {a.data(), a2.data(), a3.data()};
-    const float biases[3] = {bias, -bias, 0.25f};
-    std::vector<float> got_m(3 * ids.size()), want_m(3 * ids.size());
-    ops.dot_block_many(qs, biases, 3, dim, rows.data(), dim, ids.data(),
-                       ids.size(), got_m.data(), ids.size());
-    ref.dot_block_many(qs, biases, 3, dim, rows.data(), dim, ids.data(),
-                       ids.size(), want_m.data(), ids.size());
-    for (size_t i = 0; i < got_m.size(); ++i) {
-      EXPECT_EQ(Bits32(got_m[i]), Bits32(want_m[i])) << "dim=" << dim;
     }
   }
 }
@@ -206,20 +173,15 @@ TEST(MixedBand, BandContainsF32Error) {
       const MixedQueryPlan plan =
           MakeMixedPlan(a.data(), dim, b, true, phi);
       if (!plan.usable) continue;  // overflow guard fired; that is sound
-      // f32-ok (test): the classify pass under scrutiny.
-      std::vector<float> res32(phi.size());
-      std::vector<uint32_t> ids(phi.size());
       for (size_t i = 0; i < phi.size(); ++i) {
-        ids[i] = static_cast<uint32_t>(i);
-      }
-      kernels::OpsF32().dot_gather(plan.a32.data(), dim, phi.f32_data(), dim,
-                                   ids.data(), ids.size(), plan.bias32,
-                                   res32.data());
-      std::vector<double> res64(phi.size());
-      kernels::Ops().dot_gather(a.data(), dim, phi.data(), dim, ids.data(),
-                                ids.size(), -b, res64.data());
-      for (size_t i = 0; i < phi.size(); ++i) {
-        EXPECT_LE(std::fabs(static_cast<double>(res32[i]) - res64[i]),
+        // f32-ok (test): the residual the band classify compares.
+        const float res32 =
+            kernels::OpsF32().dot_one(plan.a32.data(),
+                                      phi.f32_data() + i * dim, dim) +
+            plan.bias32;
+        const double res64 =
+            kernels::Ops().dot_one(a.data(), phi.data() + i * dim, dim) - b;
+        EXPECT_LE(std::fabs(static_cast<double>(res32) - res64),
                   static_cast<double>(plan.band))
             << "dim=" << dim << " scale=" << scale << " row=" << i;
       }
